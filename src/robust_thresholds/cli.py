@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dp, oracle, pareto
 from .config import ConfigError, Problem, build_problem, parse_config, serialize
-from .fishery import FisheryParams
+from .fishery import FisheryParams, robust_boundary
 from .mesh import build_reachable_sets, full_grid_sets
 from .model import as_threshold
 
@@ -154,15 +154,10 @@ def _membership_sample(front: pareto.FrontResult, problem: Problem,
 def _write_analytic(path: Path, header: str, problem: Problem) -> None:
     params: FisheryParams = problem.config.fishery
     xi = float(problem.xi)
-    ks = [params.K[w] for w in params.scenarios]
-    xs = np.linspace(0.0, max(ks), 501)
-    cap = min(xi, min(ks))
-    rows = []
-    for x in xs:
-        sig = [float(params.surplus(x, w)) for w in params.scenarios]
-        inter = min(sig) if x <= cap else float("nan")
-        rows.append((x, *sig, inter))
-    cols = ["x"] + [f"sigma_{w}" for w in params.scenarios] + ["intersection_height"]
+    xs = np.linspace(0.0, max(params.K[w] for w in params.scenarios), 501)
+    rows = [(x, *(float(params.surplus(x, w)) for w in params.scenarios),
+             robust_boundary(params, xi, x)) for x in xs]
+    cols = ["x"] + [f"sigma_{w}" for w in params.scenarios] + ["robust_boundary"]
     _write(path, header, cols, rows)
 
 
@@ -191,8 +186,8 @@ except OSError:
 if ANALYTIC:
     ax.plot(ana["x"], ana["sigma_a"], "r--", linewidth=1, label="surplus, scenario a")
     ax.plot(ana["x"], ana["sigma_b"], "b--", linewidth=1, label="surplus, scenario b")
-    ax.plot(ana["x"], ana["intersection_height"], "k-", linewidth=1.5,
-            label="closed-form intersection boundary")
+    ax.plot(ana["x"], ana["robust_boundary"], "k-", linewidth=1.5,
+            label="robust boundary H")
 ax.set_xlabel("stock floor")
 ax.set_ylabel("harvest floor")
 ax.set_xlim(left=0)

@@ -34,6 +34,17 @@ over scenarios of the reads and the stage score alike, so each cap is
 folded into the stage score of its (x, u) when the scores are built;
 systems whose images stay in the box get their scores unchanged.
 
+Both sweeps, the optimizing one (``sweep_scores``) and the evaluation of a
+fixed policy (``sweep_policy``), run one stage kernel.  It gathers the
+next-stage values corner by corner with ``take`` and accumulates the
+weighted corners in place, then takes the minimum over scenarios and with
+the stage score.  The scenario axis, like the constraint axis of the score
+builders, is short (two entries on the fishery) and trailing, so every
+minimum over it is taken slice by slice with ``np.minimum``: a ufunc
+reduction over a 2-element axis costs an order of magnitude more than
+the elementwise minimum of its two slices.  The float operations are the
+same either way, so tables are bitwise those of a plain ``.min(axis=-1)``.
+
 Everything here is deterministic: control ties resolve to the lowest mesh
 index, so repeated runs reproduce tables bitwise.
 """
@@ -119,10 +130,14 @@ def terminal_slack(sys: SystemSpec, x, c) -> float:
 
 @dataclass
 class _StageArrays:
-    # corner-major layout keeps each per-corner gather contiguous
+    # Corner-major: corner_idx[j] and corner_w[j] of a contiguous row range
+    # are contiguous blocks, which the stage kernel gathers and weights one
+    # corner at a time.  Scenarios are the last axis, so the kernel reduces
+    # over them slice by slice.  Indices stay int32: reachability reads them
+    # too, and an intp copy would double their memory.
     corner_idx: np.ndarray  # (C, n_nodes, n_u, n_w) int32
     corner_w: np.ndarray    # (C, n_nodes, n_u, n_w) float64
-    g_vals: np.ndarray      # (n_nodes, n_u, m)
+    g_vals: np.ndarray      # (n_nodes, n_u, m), constraints on the last axis
     # one entry per (node, control, scenario) whose image leaves the grid
     # box, sorted by node: the node, the control and the exact image
     out_node: np.ndarray    # (n_out,) int64
@@ -161,6 +176,9 @@ class CompiledSystem:
             self._stages = [self._build_stage(k) for k in range(sys.horizon + 1)]
         self.theta_vals = self._terminal_at(self._nodes)
         self._out_best = self._build_out_best()
+        # grid rows x the largest scenario set of any stage: per control,
+        # the size of one corner block of the stage kernel's scratch
+        self._row_cells = grid.n_nodes * max(len(om) for om in sys.scenario_sets)
 
     # internal evaluation helpers ------------------------------------------------
 
@@ -277,10 +295,10 @@ class CompiledSystem:
 
     def slack_scores(self, c: np.ndarray) -> list[np.ndarray]:
         """Per-stage (n_nodes, n_u) arrays of min_i (g_i - c_i)."""
-        return self._scores(lambda g: (g - c).min(axis=-1))[0]
+        return self._scores(lambda g: _slack(g, c))[0]
 
     def terminal_slack_scores(self, c: np.ndarray) -> np.ndarray:
-        return (self.theta_vals - c).min(axis=-1)
+        return _slack(self.theta_vals, c)
 
     def masked_component_scores(self, c: np.ndarray, comp: int,
                                 neg_inf: float = NEG_INF):
@@ -290,8 +308,7 @@ class CompiledSystem:
         whole constraint vector clears c, and the infeasibility sentinel
         otherwise; same for terminal states and out-of-box caps.
         """
-        return self._scores(lambda g: np.where((g >= c).all(axis=-1),
-                                               g[..., comp], neg_inf))
+        return self._scores(lambda g: np.where(_clears(g, c), g[..., comp], neg_inf))
 
     def component_scores(self, comp: int):
         """Raw per-component constraint values (used for policy rollup)."""
@@ -301,6 +318,28 @@ class CompiledSystem:
 def compile_system(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
                    interp: str = "multilinear") -> CompiledSystem:
     return CompiledSystem(sys, grid, controls, interp)
+
+
+def _reduce_last(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)`` over a short last axis, one slice at a
+    time in the same order: the same values at a fraction of the cost of a
+    ufunc reduction, whose set-up dominates when the axis has 2 entries."""
+    if a.shape[-1] == 1:
+        return a[..., 0].copy()
+    out = ufunc(a[..., 0], a[..., 1])
+    for i in range(2, a.shape[-1]):
+        ufunc(out, a[..., i], out=out)
+    return out
+
+
+def _slack(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """min_i (g_i - c_i) over the constraint (last) axis of g."""
+    return _reduce_last(np.minimum, g - c)
+
+
+def _clears(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """True where every constraint component on the last axis of g is >= c."""
+    return _reduce_last(np.logical_and, g >= c)
 
 
 # -- core sweeps ------------------------------------------------------------
@@ -323,18 +362,47 @@ def _stage_sel(reach: ReachableSets, stage: int, n_nodes: int):
     return rows
 
 
-def _interp_next(V: np.ndarray, sa: _StageArrays, sel):
-    """Interpolated next-stage values, shape (rows, n_u, n_w).
+def _stage_kernel(V: np.ndarray, ci: np.ndarray, cw: np.ndarray,
+                  scores: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """min(worst case over scenarios of the interpolated V, stage scores).
 
-    Accumulates corner by corner.  NaN from any touched unpopulated node
+    ``ci``/``cw`` hold the corner indices and weights, shape (C, ..., n_w);
+    ``scores`` has their shape without the corner and scenario axes, as
+    does the result.  Corners are accumulated in order, V[ci[0]] * cw[0]
+    + V[ci[1]] * cw[1] + ..., and the minima over the short scenario axis
+    are taken slice by slice.  NaN from any touched unpopulated node
     propagates into the result (weights never cancel it).
+
+    ``work`` is flat scratch space of at least two corner blocks, reused
+    by every stage of a sweep: left to allocate its own blocks, each stage
+    frees megabytes at the top of the heap, which the allocator hands back
+    to the system and faults in again at the next stage.
     """
-    ci = sa.corner_idx if sel is None else sa.corner_idx[:, sel]
-    cw = sa.corner_w if sel is None else sa.corner_w[:, sel]
-    acc = V[ci[0]] * cw[0]
-    for j in range(1, ci.shape[0]):
-        acc += V[ci[j]] * cw[j]
-    return acc
+    shape = ci.shape[1:]
+    size = scores.size * shape[-1]
+    acc = work[:size].reshape(shape)
+    # corner indices are in range by construction (``StateGrid.locate``
+    # clamps); mode "raise" would gather into a temporary copy of ``out``
+    V.take(ci[0], out=acc, mode="clip")
+    acc *= cw[0]
+    if len(ci) > 1:
+        part = work[size:2 * size].reshape(shape)
+        for j in range(1, len(ci)):
+            V.take(ci[j], out=part, mode="clip")
+            part *= cw[j]
+            acc += part
+    q = _reduce_last(np.minimum, acc)
+    return np.minimum(q, scores, out=q)
+
+
+def _terminal_values(reach: ReachableSets, stage: int, terminal_score: np.ndarray):
+    """The terminal table: scores on the rows of ``stage``, NaN elsewhere."""
+    sel = _stage_sel(reach, stage, len(terminal_score))
+    if sel is None:
+        return terminal_score.astype(float, copy=True)
+    V = np.full(len(terminal_score), np.nan)
+    V[sel] = terminal_score[sel]
+    return V
 
 
 def sweep_scores(compiled: CompiledSystem, reach: ReachableSets,
@@ -347,19 +415,18 @@ def sweep_scores(compiled: CompiledSystem, reach: ReachableSets,
     choices = (np.full((sys.horizon + 1, n_nodes), -1, dtype=np.int32)
                if want_policy else None)
 
-    sel = _stage_sel(reach, sys.horizon + 1, n_nodes)
-    if sel is None:
-        V = terminal_score.astype(float, copy=True)
-    else:
-        V = np.full(n_nodes, np.nan)
-        V[sel] = terminal_score[sel]
+    V = _terminal_values(reach, sys.horizon + 1, terminal_score)
     tables[sys.horizon + 1] = _table(sys.horizon + 1, threshold, grid, V,
                                      compiled.interp)
+    work = np.empty(2 * compiled._row_cells * len(compiled.controls))
     for n in range(sys.horizon, -1, -1):
         sel = _stage_sel(reach, n, n_nodes)
         sa = compiled.stage(n)
-        scores = stage_scores[n] if sel is None else stage_scores[n][sel]
-        q = np.minimum(_interp_next(V, sa, sel).min(axis=-1), scores)
+        if sel is None:
+            q = _stage_kernel(V, sa.corner_idx, sa.corner_w, stage_scores[n], work)
+        else:
+            q = _stage_kernel(V, sa.corner_idx[:, sel], sa.corner_w[:, sel],
+                              stage_scores[n][sel], work)
         vals = q.max(axis=-1)
         if np.isnan(vals).any():
             raise UnpopulatedNodeError(
@@ -385,27 +452,23 @@ def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
     sys, grid = compiled.sys, compiled.grid
     n_nodes = grid.n_nodes
     tables: list[ValueTable] = [None] * (sys.horizon + 2)  # type: ignore[list-item]
-    rows = _stage_sel(reach, sys.horizon + 1, n_nodes)
-    if rows is None:
-        V = terminal_score.astype(float, copy=True)
-    else:
-        V = np.full(n_nodes, np.nan)
-        V[rows] = terminal_score[rows]
+    V = _terminal_values(reach, sys.horizon + 1, terminal_score)
     tables[sys.horizon + 1] = _table(sys.horizon + 1, threshold, grid, V,
                                      compiled.interp)
+    work = np.empty(2 * compiled._row_cells)  # one control per row
     for n in range(sys.horizon, -1, -1):
         sel = reach.indices(n) if not reach.full else np.arange(n_nodes)
         p = policy.choices[n][sel]
         if np.any(p < 0):
             raise UnpopulatedNodeError(f"policy gap on reachable nodes at stage {n}")
         sa = compiled.stage(n)
-        nxt = V[sa.corner_idx[:, sel, p]]              # (C, R, n_w)
-        if np.isnan(nxt).any():
+        vals = _stage_kernel(V, sa.corner_idx[:, sel, p], sa.corner_w[:, sel, p],
+                             stage_scores[n][sel, p], work)
+        if np.isnan(vals).any():
             raise UnpopulatedNodeError(
                 f"stage-{n} policy sweep touched unpopulated nodes")
-        worst = (nxt * sa.corner_w[:, sel, p]).sum(axis=0).min(axis=-1)
         Vn = np.full(n_nodes, np.nan)
-        Vn[sel] = np.minimum(worst, stage_scores[n][sel, p])
+        Vn[sel] = vals
         V = Vn
         tables[n] = _table(n, threshold, grid, V, compiled.interp)
     return tables

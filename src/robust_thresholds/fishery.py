@@ -8,8 +8,13 @@ floor) pairs.  The surplus sigma(x) = growth(x) - x is the harvest that
 holds the stock at x; it vanishes at 0 and K and peaks at the maximum
 sustainable yield stock K / (1 + sqrt(1+r)).
 
-Closed forms for the infinite-horizon single-scenario threshold sets and
-their intersection are provided for comparison plots and tests.
+Closed forms of the infinite-horizon threshold sets, single-scenario and
+robust, are provided for comparison plots and tests.  Their boundary is
+H(x) = max over s in [x, x_max] of min_w sigma_w(s): a harvest floor up to
+H(x) is held forever by keeping the stock at the maximizing s (growth is
+increasing, so any stock y >= s grows to at least s + sigma_w(s)), and a
+harvest floor above it drains the stock below x under the adversary that
+always picks the scenario of smallest surplus.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "surplus",
     "msy_stock",
     "msy_harvest",
+    "robust_boundary",
     "infinite_horizon_membership",
     "infinite_horizon_membership_robust",
     "build_fishery_system",
@@ -102,22 +108,59 @@ class FisheryParams:
         return msy_harvest(self.r[w], self.K[w])
 
 
+def _crossing(params: FisheryParams, v, w) -> float:
+    """Positive stock where the growth maps (hence the surpluses) of
+    scenarios v and w agree, NaN if there is none: equating
+    (1+r_v) s / (1 + (r_v/K_v) s) with the same for w and dividing by s."""
+    rv, kv, rw, kw = params.r[v], params.K[v], params.r[w], params.K[w]
+    den = (1.0 + rw) * rv / kv - (1.0 + rv) * rw / kw
+    s = (rv - rw) / den if den != 0.0 else float("nan")
+    return s if s > 0.0 else float("nan")
+
+
+def robust_boundary(params: FisheryParams, xi: float, x: float,
+                    scenarios: tuple | None = None) -> float:
+    """H(x) = max over s in [max(x, 0), x_max] of min_w sigma_w(s), with
+    x_max = min(xi, K_w over the scenarios); NaN when x > x_max.
+
+    It is the largest harvest floor sustainable at infinite horizon with
+    stock floor x.  Each surplus is concave, so their minimum is concave
+    and peaks at an end of the interval, at an MSY stock or at a stock
+    where two surpluses cross; H is the best of those candidates,
+    evaluated exactly.
+    """
+    scen = tuple(scenarios) if scenarios is not None else params.scenarios
+    x_max = min(xi, *(params.K[w] for w in scen))
+    if x > x_max:
+        return float("nan")
+    lo = max(float(x), 0.0)
+    candidates = [lo, x_max, *(params.msy_stock(w) for w in scen),
+                  *(_crossing(params, v, w) for i, v in enumerate(scen)
+                    for w in scen[i + 1:])]
+    return max(min(float(params.surplus(s, w)) for w in scen)
+               for s in candidates if lo <= s <= x_max)
+
+
 def infinite_horizon_membership(params: FisheryParams, xi: float, w, c) -> bool:
     """Closed-form single-scenario threshold-set test at infinite horizon:
-    stock floor at most min(xi, K) and harvest floor at most the surplus at
-    the stock floor, both evaluated exactly.
+    stock floor at most min(xi, K_w) and harvest floor at most H(x) of
+    scenario w alone, the best surplus over stocks in [x, min(xi, K_w)].
     """
-    cv = as_threshold(c, 2)
-    x_lim, h_lim = float(cv[0]), float(cv[1])
-    if x_lim > min(xi, params.K[w]):
-        return False
-    return h_lim <= float(params.surplus(max(x_lim, 0.0), w))
+    return _below_boundary(params, xi, c, (w,))
 
 
 def infinite_horizon_membership_robust(params: FisheryParams, xi: float, c) -> bool:
-    """Intersection of the single-scenario closed-form sets over all scenarios."""
-    return all(infinite_horizon_membership(params, xi, w, c)
-               for w in params.scenarios)
+    """Closed-form robust threshold-set test at infinite horizon: stock
+    floor at most min(xi, K_w over all scenarios) and harvest floor at most
+    H(x), the best worst-case surplus over stocks in [x, x_max].
+    """
+    return _below_boundary(params, xi, c, params.scenarios)
+
+
+def _below_boundary(params: FisheryParams, xi: float, c, scenarios: tuple) -> bool:
+    cv = as_threshold(c, 2)
+    h = robust_boundary(params, xi, float(cv[0]), scenarios)
+    return not np.isnan(h) and float(cv[1]) <= h
 
 
 class _FisheryDynamics:

@@ -175,7 +175,17 @@ class TestCommands:
         cfgp = write_config(tmp_path, FISHERY_SMALL)
         assert cli.main(["analytic-fishery", "--config", str(cfgp)]) == 0
         assert "msy stock" in capsys.readouterr().out
-        assert (tmp_path / "out" / "analytic_fishery.csv").exists()
+        lines = [l for l in (tmp_path / "out" / "analytic_fishery.csv")
+                 .read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "x,sigma_a,sigma_b,robust_boundary"
+        x, h = np.asarray([[float(l.split(",")[0]), float(l.split(",")[-1])]
+                           for l in lines[1:]]).T
+        # defined up to min(xi, K_a, K_b) = 50; the boundary of a lower set
+        # never rises, flat at the crossing height up to the stock ~37.79
+        # where the growth maps agree
+        np.testing.assert_array_equal(np.isnan(h), x > 50.0)
+        assert np.all(np.diff(h[x <= 50.0]) <= 0.0)
+        assert h[0] == pytest.approx(7.3468, abs=1e-4)
 
     def test_flag_overrides_config(self, tmp_path):
         cfgp = write_config(tmp_path, FISHERY_SMALL)

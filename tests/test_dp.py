@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robust_thresholds as rt
 from robust_thresholds import dp, oracle
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
-from robust_thresholds.mesh import UnpopulatedNodeError
+from robust_thresholds.mesh import UnpopulatedNodeError, full_grid_sets
 
 from tabular_tools import random_instance, solve_w
 
@@ -159,6 +160,143 @@ class TestBackwardRecursion:
         for tp, tf in zip(part, full):
             rows = np.flatnonzero(tp.populated)
             np.testing.assert_array_equal(tp.values[rows], tf.values[rows])
+
+
+def _reference_stage(V, ci, cw, scores):
+    """Plain fancy-indexed gathers summed corner by corner, then the
+    scenario minimum as a reduction and the minimum with the scores."""
+    acc = V[ci[0]] * cw[0]
+    for j in range(1, len(ci)):
+        acc += V[ci[j]] * cw[j]
+    return np.minimum(acc.min(axis=-1), scores)
+
+
+def _rows(reach, n, n_nodes):
+    return np.arange(n_nodes) if reach.full else reach.indices(n)
+
+
+def _reference_sweep(compiled, reach, stage_scores, terminal_score):
+    """Value tables V_0..V_{N+1} and argmax choices of the optimizing sweep."""
+    horizon, n_nodes = compiled.sys.horizon, compiled.grid.n_nodes
+    V = np.full(n_nodes, np.nan)
+    rows = _rows(reach, horizon + 1, n_nodes)
+    V[rows] = terminal_score[rows]
+    values = [V]
+    choices = np.full((horizon + 1, n_nodes), -1, dtype=np.int32)
+    for n in range(horizon, -1, -1):
+        rows, sa = _rows(reach, n, n_nodes), compiled.stage(n)
+        q = _reference_stage(V, sa.corner_idx[:, rows], sa.corner_w[:, rows],
+                             stage_scores[n][rows])
+        V = np.full(n_nodes, np.nan)
+        V[rows] = q.max(axis=-1)
+        choices[n, rows] = q.argmax(axis=-1)
+        values.append(V)
+    return values[::-1], choices
+
+
+def _reference_policy_sweep(compiled, reach, choices, stage_scores, terminal_score):
+    """Value tables V_0..V_{N+1} of the fixed policy ``choices``."""
+    horizon, n_nodes = compiled.sys.horizon, compiled.grid.n_nodes
+    V = np.full(n_nodes, np.nan)
+    rows = _rows(reach, horizon + 1, n_nodes)
+    V[rows] = terminal_score[rows]
+    values = [V]
+    for n in range(horizon, -1, -1):
+        rows, sa = _rows(reach, n, n_nodes), compiled.stage(n)
+        p = choices[n, rows]
+        q = _reference_stage(V, sa.corner_idx[:, rows, p], sa.corner_w[:, rows, p],
+                             stage_scores[n][rows, p])
+        V = np.full(n_nodes, np.nan)
+        V[rows] = q
+        values.append(V)
+    return values[::-1]
+
+
+def _plane_system(horizon=2):
+    """2-D time-varying system, 3 scenarios, 3 constraint components: the
+    4-corner gather, the index-array rows and the longer slice loops."""
+    shifts = ((0.3, -0.2), (-0.1, 0.4), (0.0, 0.0))
+    return rt.SystemSpec(
+        horizon=horizon, state_dim=2, threshold_dim=3,
+        dynamics=lambda k, x, u, w: (0.8 + 0.05 * k) * np.asarray(x) + u + np.asarray(w),
+        stage_constraints=lambda k, x, u: np.asarray([x[0], x[1] - 0.1 * k, -abs(u)]),
+        terminal_constraint=lambda x: np.asarray([x[0], x[1], 0.0]),
+        control_space=rt.IntervalControlSpace(-0.5, 0.5),
+        scenario_sets=(shifts,) * (horizon + 1),
+    )
+
+
+class TestStageKernelPinned:
+    """The sweeps equal a plain reference recursion bit for bit: same float
+    operations, same order, only the reductions are taken slice-wise."""
+
+    @staticmethod
+    def assert_pinned(compiled, reach, stage_scores, terminal):
+        tables, policy = dp.sweep_scores(compiled, reach, stage_scores, terminal)
+        values, choices = _reference_sweep(compiled, reach, stage_scores, terminal)
+        for t, v in zip(tables, values):
+            assert np.array_equal(t.values, v, equal_nan=True)
+        assert np.array_equal(policy.choices, choices)
+        replayed = dp.sweep_policy(compiled, reach, policy, stage_scores, terminal)
+        ref = _reference_policy_sweep(compiled, reach, choices, stage_scores, terminal)
+        for t, v in zip(replayed, ref):
+            assert np.array_equal(t.values, v, equal_nan=True)
+
+    def all_scores(self, compiled, c):
+        c = np.asarray(c, dtype=float)
+        yield compiled.slack_scores(c), compiled.terminal_slack_scores(c)
+        for comp in range(len(c)):
+            yield compiled.masked_component_scores(c, comp)
+            yield compiled.component_scores(comp)
+
+    @pytest.mark.parametrize("full_grid", [False, True])
+    def test_fishery(self, fishery3, full_grid):
+        sys, grid, controls, compiled, reach = fishery3
+        if full_grid:
+            reach = full_grid_sets(grid, sys.horizon)
+        else:
+            # the reachable rows are contiguous: the slice path
+            assert isinstance(dp._stage_sel(reach, 1, grid.n_nodes), slice)
+        for c in ([10.0, 5.0], [0.0, 0.0], [30.0, 7.0], [130.0, 60.0]):
+            for scores, terminal in self.all_scores(compiled, c):
+                self.assert_pinned(compiled, reach, scores, terminal)
+
+    def test_seeded_tabular_systems(self):
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            inst = random_instance(rng)
+            for reach in (inst.reach, full_grid_sets(inst.grid, inst.sys.horizon)):
+                for c in rng.uniform(-6, 6, size=(3, 2)):
+                    for scores, terminal in self.all_scores(inst.compiled, c):
+                        self.assert_pinned(inst.compiled, reach, scores, terminal)
+
+    def test_plane_system(self):
+        sys = _plane_system()
+        grid = rt.StateGrid(lower=[0.0, 0.0], upper=[4.0, 4.0], counts=[9, 9])
+        controls = rt.ControlMesh.uniform(-0.5, 0.5, 5)
+        compiled = rt.compile_system(sys, grid, controls)
+        assert compiled.stage(0).corner_idx.shape == (4, 81, 5, 3)
+        reach = rt.build_reachable_sets([2.2, 1.7], grid, sys, controls,
+                                        compiled=compiled)
+        # rows of a 2-D reachable set are not one node range
+        assert not isinstance(dp._stage_sel(reach, 1, grid.n_nodes), slice)
+        for r in (reach, full_grid_sets(grid, sys.horizon)):
+            for c in ([1.0, 0.5, -0.3], [0.0, 0.0, 0.0]):
+                for scores, terminal in self.all_scores(compiled, c):
+                    self.assert_pinned(compiled, r, scores, terminal)
+
+
+class TestThresholdTranslation:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 50.0), st.floats(0.0, 15.0), st.floats(-5.0, 5.0))
+    def test_diagonal_shift_lowers_w_by_the_shift(self, coarse_fishery, c1, c2, t):
+        # W(c + t*1) = W(c) - t: every score is min_i (g_i - c_i)
+        sys, grid, controls, compiled, reach = coarse_fishery
+        c = np.asarray([c1, c2])
+        w0 = rt.solve_value(60.0, c, sys, grid, controls, compiled=compiled, reach=reach)
+        w1 = rt.solve_value(60.0, c + t, sys, grid, controls, compiled=compiled,
+                            reach=reach)
+        assert abs(w1 - (w0 - t)) <= 1e-9
 
 
 class TestOutOfBoxReads:

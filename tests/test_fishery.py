@@ -96,11 +96,29 @@ class TestClosedFormSets:
         assert fm.infinite_horizon_membership(params, 30.0, "a", [29.0, 0.0])
 
     def test_boundary_curve_membership(self, params):
+        # min(sigma_a, sigma_b) rises (as sigma_a) up to the stock s_c where
+        # the growth maps agree, (r_b - r_a) / ((1+r_a) r_b/K_b - (1+r_b) r_a/K_a)
+        # ~ 37.79, and falls (as sigma_b, past its peak) after it, so H(x),
+        # its best value over [x, 50], is its value at max(x, s_c)
+        r, K = params.r, params.K
+        s_c = (r["b"] - r["a"]) / ((1 + r["a"]) * r["b"] / K["b"]
+                                   - (1 + r["b"]) * r["a"] / K["a"])
+        xs = np.linspace(0.0, 50.0, 50001)
+        sampled = np.maximum.accumulate(np.minimum(params.surplus(xs, "a"),
+                                                   params.surplus(xs, "b"))[::-1])[::-1]
         for x in np.linspace(1.0, 49.0, 9):
-            h = min(float(params.surplus(x, "a")), float(params.surplus(x, "b")))
+            h = min(float(params.surplus(max(x, s_c), w)) for w in ("a", "b"))
+            assert h == pytest.approx(np.interp(x, xs, sampled), abs=1e-4)
+            assert fm.robust_boundary(params, 60.0, x) == h
             assert fm.infinite_horizon_membership_robust(params, 60.0, [x, h])
             assert not fm.infinite_horizon_membership_robust(
                 params, 60.0, [x, h + 1e-9])
+
+    def test_sustainable_below_the_rising_curve_peak(self, params):
+        # (0, 5) lies under H but above min_w sigma_w(0) = 0
+        assert fm.infinite_horizon_membership_robust(params, 60.0, [0.0, 5.0])
+        assert fm.infinite_horizon_membership(params, 60.0, "b", [0.0, 13.0])
+        assert not fm.infinite_horizon_membership(params, 60.0, "b", [0.0, 13.5])
 
 
 class TestBuiltSystem:

@@ -3,7 +3,6 @@ import pytest
 
 import robust_thresholds as rt
 from robust_thresholds import dp, oracle, pareto
-from robust_thresholds.fishery import FisheryParams, build_fishery_system
 
 from tabular_tools import (random_instance, solve_w, tree_constrained_value,
                            tree_policy_threshold)
@@ -265,13 +264,8 @@ class TestStrongChain:
 
 
 class TestFisherySmoke:
-    def test_weak_front_and_strong_chain_on_coarse_benchmark(self):
-        params = FisheryParams.default()
-        sys = build_fishery_system(params, horizon=8)
-        grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[121])
-        controls = rt.ControlMesh.uniform(0.0, 40.0, 41)
-        compiled = rt.compile_system(sys, grid, controls)
-        reach = rt.build_reachable_sets(60.0, grid, sys, controls, compiled=compiled)
+    def test_weak_front_and_strong_chain_on_coarse_benchmark(self, coarse_fishery):
+        sys, grid, controls, compiled, reach = coarse_fishery
         mesh = rt.threshold_ray_mesh(2.0, 40, [130.0, 60.0])
         front = pareto.weak_front(60.0, mesh, sys, grid, controls,
                                   compiled=compiled, reach=reach)
@@ -283,17 +277,23 @@ class TestFisherySmoke:
         assert rt.membership(60.0, chain.endpoint, sys, grid, controls, tol=1e-9,
                              compiled=compiled, reach=reach)
 
+    def test_threaded_front_equals_serial_front(self, coarse_fishery):
+        sys, grid, controls, compiled, reach = coarse_fishery
+        mesh = rt.threshold_ray_mesh(10.0, 6, [130.0, 60.0])
+        serial, threaded = (pareto.weak_front(60.0, mesh, sys, grid, controls,
+                                              compiled=compiled, reach=reach, jobs=jobs)
+                            for jobs in (1, 2))
+        assert len(serial) == len(mesh)
+        for name in ("points", "values", "revalidated"):
+            a, b = getattr(serial, name), getattr(threaded, name)
+            assert a.tobytes() == b.tobytes(), name
+
     @pytest.mark.parametrize("perm", [(0, 1), (1, 0)])
-    def test_strong_chains_certified_on_coarse_benchmark(self, perm):
+    def test_strong_chains_certified_on_coarse_benchmark(self, perm, coarse_fishery):
         # on this coarse multilinear grid the masked steps blend their
         # sentinel across the cell at stock 0 or roll up thresholds that W
         # rejects; every chain member must still be W-sustainable
-        params = FisheryParams.default()
-        sys = build_fishery_system(params, horizon=8)
-        grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[121])
-        controls = rt.ControlMesh.uniform(0.0, 40.0, 41)
-        compiled = rt.compile_system(sys, grid, controls)
-        reach = rt.build_reachable_sets(60.0, grid, sys, controls, compiled=compiled)
+        sys, grid, controls, compiled, reach = coarse_fishery
         chain = pareto.strong_pareto_point(60.0, [0.0, 0.0], perm, sys, grid,
                                            controls, compiled=compiled, reach=reach)
         assert chain.line_search_steps
