@@ -22,7 +22,7 @@ from .model import (FiniteControlSpace, IntervalControlSpace, SystemSpec,
 from .oracle import (OracleBudget, closedloop_maximin, exhaustive_membership,
                      openloop_maximin)
 from .pareto import (FrontResult, StrongChain, constrained_maximin_value,
-                     project_to_weak_front, reconstruct_set, strong_pareto_point,
+                     project_to_weak_front, strong_pareto_point,
                      threshold_of_policy, weak_front)
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "OracleBudget", "closedloop_maximin", "openloop_maximin",
     "exhaustive_membership",
     "FrontResult", "StrongChain", "weak_front", "project_to_weak_front",
-    "reconstruct_set", "constrained_maximin_value", "threshold_of_policy",
+    "constrained_maximin_value", "threshold_of_policy",
     "strong_pareto_point",
     "FisheryParams", "build_fishery_system",
 ]

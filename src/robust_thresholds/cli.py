@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,26 +65,23 @@ def _prepare(problem: Problem):
 
 
 def _load_problem(args) -> Problem:
-    text = Path(args.config).read_text()
-    cfg = parse_config(text)
+    cfg = parse_config(Path(args.config).read_text())
     overrides = {}
     if getattr(args, "out", None):
         overrides["output_dir"] = args.out
-    if getattr(args, "jobs", None):
-        overrides["jobs"] = args.jobs
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None:
+        # ``replace`` skips the checks of ``parse_config``
+        if jobs < 1:
+            raise ConfigError("--jobs: must be >= 1")
+        overrides["jobs"] = jobs
     if getattr(args, "interp", None):
         overrides["interpolation"] = args.interp
     if getattr(args, "full_grid", False):
         overrides["full_grid"] = True
     if getattr(args, "oracle", False):
         overrides["oracle"] = True
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **{
-            {"output_dir": "output_dir", "jobs": "jobs",
-             "interpolation": "interpolation", "full_grid": "full_grid",
-             "oracle": "oracle"}[k]: v for k, v in overrides.items()})
-    return build_problem(cfg)
+    return build_problem(replace(cfg, **overrides))
 
 
 def _parse_threshold(text: str, m: int) -> np.ndarray:
@@ -92,6 +90,29 @@ def _parse_threshold(text: str, m: int) -> np.ndarray:
     except ValueError as exc:
         raise ConfigError(f"threshold {text!r} is not a comma-separated vector") from exc
     return as_threshold(vals, m)
+
+
+def _solve(args):
+    """Load the problem, parse ``--threshold`` and solve W(xi, c) once.
+
+    Returns (problem, c, compiled, reach, W)."""
+    problem = _load_problem(args)
+    c = _parse_threshold(args.threshold, problem.sys.threshold_dim)
+    compiled, reach = _prepare(problem)
+    w = dp.solve_value(problem.xi, c, problem.sys, problem.grid, problem.controls,
+                       compiled=compiled, reach=reach)
+    return problem, c, compiled, reach, w
+
+
+def _oracles(problem: Problem, c):
+    """Closed-loop value, open-loop value, exhaustive membership and the
+    expansions they used together, under one budget."""
+    budget = oracle.OracleBudget(problem.config.oracle_budget)
+    query = (problem.xi, c, problem.sys, problem.controls)
+    cl = oracle.closedloop_maximin(*query, budget=budget)
+    ol = oracle.openloop_maximin(*query, budget=budget)
+    ex = oracle.exhaustive_membership(*query, budget=budget)
+    return cl, ol, ex, budget.used
 
 
 # -- commands ----------------------------------------------------------------
@@ -240,27 +261,17 @@ def cmd_strong_front(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    problem = _load_problem(args)
+    problem, c, compiled, reach, w = _solve(args)
     cfg = problem.config
-    c = _parse_threshold(args.threshold, problem.sys.threshold_dim)
-    compiled, reach = _prepare(problem)
-    w = dp.solve_value(problem.xi, c, problem.sys, problem.grid, problem.controls,
-                       compiled=compiled, reach=reach)
     verdict = w >= -cfg.membership_tol
     lines = [f"W(xi, c) = {_fmt(w)}",
              f"membership (tol {cfg.membership_tol}): {verdict}"]
     if cfg.oracle:
-        budget = oracle.OracleBudget(cfg.oracle_budget)
-        cl = oracle.closedloop_maximin(problem.xi, c, problem.sys, problem.controls,
-                                       budget=budget)
-        ol = oracle.openloop_maximin(problem.xi, c, problem.sys, problem.controls,
-                                     budget=budget)
-        ex = oracle.exhaustive_membership(problem.xi, c, problem.sys,
-                                          problem.controls, budget=budget)
+        cl, ol, ex, used = _oracles(problem, c)
         lines += [f"oracle closed-loop value = {_fmt(cl)}",
                   f"oracle open-loop value  = {_fmt(ol)}",
                   f"oracle exhaustive membership = {ex}",
-                  f"oracle expansions used = {budget.used}"]
+                  f"oracle expansions used = {used}"]
     report = "\n".join(lines)
     print(report)
     out = Path(cfg.output_dir)
@@ -283,34 +294,18 @@ def cmd_membership(args) -> int:
 
 
 def cmd_value(args) -> int:
-    problem = _load_problem(args)
-    c = _parse_threshold(args.threshold, problem.sys.threshold_dim)
-    compiled, reach = _prepare(problem)
-    w = dp.solve_value(problem.xi, c, problem.sys, problem.grid, problem.controls,
-                       compiled=compiled, reach=reach)
-    print(_fmt(w))
+    print(_fmt(_solve(args)[-1]))
     return 0
 
 
 def cmd_oracle_check(args) -> int:
-    problem = _load_problem(args)
-    cfg = problem.config
-    c = _parse_threshold(args.threshold, problem.sys.threshold_dim)
-    compiled, reach = _prepare(problem)
-    w = dp.solve_value(problem.xi, c, problem.sys, problem.grid, problem.controls,
-                       compiled=compiled, reach=reach)
-    budget = oracle.OracleBudget(cfg.oracle_budget)
-    cl = oracle.closedloop_maximin(problem.xi, c, problem.sys, problem.controls,
-                                   budget=budget)
-    ol = oracle.openloop_maximin(problem.xi, c, problem.sys, problem.controls,
-                                 budget=budget)
-    ex = oracle.exhaustive_membership(problem.xi, c, problem.sys, problem.controls,
-                                      budget=budget)
+    problem, c, _, _, w = _solve(args)
+    cl, ol, ex, used = _oracles(problem, c)
     print(f"solver W                 = {_fmt(w)}")
     print(f"closed-loop oracle       = {_fmt(cl)}  (gap {_fmt(w - cl)})")
     print(f"open-loop oracle         = {_fmt(ol)}  (information gap {_fmt(cl - ol)})")
     print(f"exhaustive membership    = {ex}")
-    print(f"expansions used          = {budget.used}")
+    print(f"expansions used          = {used}")
     if ol > cl + 1e-9:
         print("warning: open-loop value exceeds closed-loop value")
         return 1

@@ -34,8 +34,10 @@ over scenarios of the reads and the stage score alike, so each cap is
 folded into the stage score of its (x, u) when the scores are built;
 systems whose images stay in the box get their scores unchanged.
 
-Both sweeps, the optimizing one (``sweep_scores``) and the evaluation of a
-fixed policy (``sweep_policy``), run one stage kernel.  It gathers the
+One backward loop serves both the optimizing sweep (``sweep_scores``) and
+the evaluation of a fixed policy (``sweep_policy``): evaluating a policy
+is the same max over a one-control set, each row gathering only the cells
+of its chosen control.  Every stage runs one kernel.  It gathers the
 next-stage values corner by corner with ``take`` and accumulates the
 weighted corners in place, then takes the minimum over scenarios and with
 the stage score.  The scenario axis, like the constraint axis of the score
@@ -102,12 +104,6 @@ class FeedbackPolicy:
     grid: StateGrid
     controls: ControlMesh
     choices: np.ndarray  # (N+1, n_nodes) int32
-
-    def control_at(self, stage: int, node: int):
-        j = int(self.choices[stage, node])
-        if j < 0:
-            raise UnpopulatedNodeError(f"no policy stored at stage {stage}, node {node}")
-        return self.controls.values[j]
 
 
 # -- exact slack operations (no grid involved) -----------------------------
@@ -345,23 +341,6 @@ def _clears(g: np.ndarray, c: np.ndarray) -> np.ndarray:
 # -- core sweeps ------------------------------------------------------------
 
 
-def _stage_sel(reach: ReachableSets, stage: int, n_nodes: int):
-    """Row selector for one stage: None (full grid), a slice, or an index array.
-
-    Reachable sets of 1-D systems are contiguous node ranges in practice;
-    slicing them yields views, which keeps every arithmetic lane free of the
-    NaN that marks unpopulated nodes (NaN lanes are dramatically slower).
-    """
-    if reach.full:
-        return None
-    rows = reach.indices(stage)
-    if len(rows) == n_nodes:
-        return None
-    if len(rows) and rows[-1] - rows[0] + 1 == len(rows):
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
-
-
 def _stage_kernel(V: np.ndarray, ci: np.ndarray, cw: np.ndarray,
                   scores: np.ndarray, work: np.ndarray) -> np.ndarray:
     """min(worst case over scenarios of the interpolated V, stage scores).
@@ -395,83 +374,71 @@ def _stage_kernel(V: np.ndarray, ci: np.ndarray, cw: np.ndarray,
     return np.minimum(q, scores, out=q)
 
 
-def _terminal_values(reach: ReachableSets, stage: int, terminal_score: np.ndarray):
-    """The terminal table: scores on the rows of ``stage``, NaN elsewhere."""
-    sel = _stage_sel(reach, stage, len(terminal_score))
-    if sel is None:
-        return terminal_score.astype(float, copy=True)
-    V = np.full(len(terminal_score), np.nan)
-    V[sel] = terminal_score[sel]
-    return V
+def _sweep(compiled: CompiledSystem, reach: ReachableSets,
+           stage_scores: list[np.ndarray], terminal_score: np.ndarray,
+           threshold, fixed: np.ndarray | None, want_policy: bool):
+    """Backward maximin sweep; returns (tables, argmax choices or None).
+
+    With ``fixed`` None every row maximizes over the whole control mesh.
+    A policy's ``fixed`` choices restrict each row to its one chosen
+    control: the kernel then sees a control axis of length one, and the
+    max over it evaluates the policy.
+    """
+    sys, grid = compiled.sys, compiled.grid
+    n_nodes = grid.n_nodes
+    tables: list[ValueTable] = [None] * (sys.horizon + 2)  # type: ignore[list-item]
+    choices = (np.full((sys.horizon + 1, n_nodes), -1, dtype=np.int32)
+               if want_policy else None)
+    rows = reach.selectors[sys.horizon + 1]
+    V = np.full(n_nodes, np.nan)
+    V[rows] = terminal_score[rows]
+    tables[sys.horizon + 1] = _table(sys.horizon + 1, threshold, grid, V,
+                                     compiled.interp)
+    n_ctrl = len(compiled.controls) if fixed is None else 1
+    work = np.empty(2 * compiled._row_cells * n_ctrl)
+    for n in range(sys.horizon, -1, -1):
+        rows, sa = reach.selectors[n], compiled.stage(n)
+        if fixed is None:
+            cells = (rows,)
+        else:
+            p = fixed[n][rows]
+            # an index of -1 would silently read the last control
+            if np.any(p < 0):
+                raise UnpopulatedNodeError(f"policy gap on reachable nodes at stage {n}")
+            # each row's chosen cells only, shape (C, rows, 1, n_w)
+            cells = (np.arange(n_nodes)[rows], p, None)
+        q = _stage_kernel(V, sa.corner_idx[(slice(None), *cells)],
+                          sa.corner_w[(slice(None), *cells)],
+                          stage_scores[n][cells], work)
+        vals = q.max(axis=-1)
+        if np.isnan(vals).any():
+            raise UnpopulatedNodeError(
+                f"stage-{n} sweep touched unpopulated next-stage nodes")
+        if want_policy:
+            choices[n][rows] = q.argmax(axis=-1)
+        V = np.full(n_nodes, np.nan)
+        V[rows] = vals
+        tables[n] = _table(n, threshold, grid, V, compiled.interp)
+    return tables, choices
 
 
 def sweep_scores(compiled: CompiledSystem, reach: ReachableSets,
                  stage_scores: list[np.ndarray], terminal_score: np.ndarray,
                  *, threshold=None, want_policy: bool = True):
     """Backward optimization sweep; returns (tables, policy_or_None)."""
-    sys, grid = compiled.sys, compiled.grid
-    n_nodes = grid.n_nodes
-    tables: list[ValueTable] = [None] * (sys.horizon + 2)  # type: ignore[list-item]
-    choices = (np.full((sys.horizon + 1, n_nodes), -1, dtype=np.int32)
-               if want_policy else None)
-
-    V = _terminal_values(reach, sys.horizon + 1, terminal_score)
-    tables[sys.horizon + 1] = _table(sys.horizon + 1, threshold, grid, V,
-                                     compiled.interp)
-    work = np.empty(2 * compiled._row_cells * len(compiled.controls))
-    for n in range(sys.horizon, -1, -1):
-        sel = _stage_sel(reach, n, n_nodes)
-        sa = compiled.stage(n)
-        if sel is None:
-            q = _stage_kernel(V, sa.corner_idx, sa.corner_w, stage_scores[n], work)
-        else:
-            q = _stage_kernel(V, sa.corner_idx[:, sel], sa.corner_w[:, sel],
-                              stage_scores[n][sel], work)
-        vals = q.max(axis=-1)
-        if np.isnan(vals).any():
-            raise UnpopulatedNodeError(
-                f"stage-{n} sweep touched unpopulated next-stage nodes")
-        if sel is None:
-            Vn = vals
-        else:
-            Vn = np.full(n_nodes, np.nan)
-            Vn[sel] = vals
-        if want_policy:
-            choices[n][slice(None) if sel is None else sel] = q.argmax(axis=-1)
-        V = Vn
-        tables[n] = _table(n, threshold, grid, V, compiled.interp)
-    policy = (FeedbackPolicy(grid=grid, controls=compiled.controls, choices=choices)
-              if want_policy else None)
+    tables, choices = _sweep(compiled, reach, stage_scores, terminal_score,
+                             threshold, None, want_policy)
+    policy = (FeedbackPolicy(grid=compiled.grid, controls=compiled.controls,
+                             choices=choices) if want_policy else None)
     return tables, policy
 
 
 def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
                  policy: FeedbackPolicy, stage_scores: list[np.ndarray],
                  terminal_score: np.ndarray, *, threshold=None):
-    """Backward evaluation sweep of a fixed feedback policy (no max)."""
-    sys, grid = compiled.sys, compiled.grid
-    n_nodes = grid.n_nodes
-    tables: list[ValueTable] = [None] * (sys.horizon + 2)  # type: ignore[list-item]
-    V = _terminal_values(reach, sys.horizon + 1, terminal_score)
-    tables[sys.horizon + 1] = _table(sys.horizon + 1, threshold, grid, V,
-                                     compiled.interp)
-    work = np.empty(2 * compiled._row_cells)  # one control per row
-    for n in range(sys.horizon, -1, -1):
-        sel = reach.indices(n) if not reach.full else np.arange(n_nodes)
-        p = policy.choices[n][sel]
-        if np.any(p < 0):
-            raise UnpopulatedNodeError(f"policy gap on reachable nodes at stage {n}")
-        sa = compiled.stage(n)
-        vals = _stage_kernel(V, sa.corner_idx[:, sel, p], sa.corner_w[:, sel, p],
-                             stage_scores[n][sel, p], work)
-        if np.isnan(vals).any():
-            raise UnpopulatedNodeError(
-                f"stage-{n} policy sweep touched unpopulated nodes")
-        Vn = np.full(n_nodes, np.nan)
-        Vn[sel] = vals
-        V = Vn
-        tables[n] = _table(n, threshold, grid, V, compiled.interp)
-    return tables
+    """Backward evaluation sweep of a fixed feedback policy."""
+    return _sweep(compiled, reach, stage_scores, terminal_score, threshold,
+                  policy.choices, False)[0]
 
 
 def _table(stage, threshold, grid, V, interp) -> ValueTable:

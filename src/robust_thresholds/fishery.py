@@ -237,6 +237,4 @@ def build_fishery_system(params: FisheryParams, horizon: int,
         time_invariant=True,
         batchable=True,
         name="fishery-beverton-holt",
-        state_lower=np.asarray([0.0]),
-        state_upper=np.asarray([max(params.K[w] for w in params.scenarios) * (4 / 3)]),
     )

@@ -13,7 +13,8 @@ evaluate with zero discretization error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class StateGrid:
     def spacing(self) -> np.ndarray:
         return (self.upper - self.lower) / (self.counts - 1)
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
         return int(np.prod(self.counts))
 
@@ -205,16 +206,24 @@ class ThresholdRayMesh:
 class ReachableSets:
     """Per-stage node masks: masks[n] marks grid nodes the stage-n solve needs.
 
-    There are N+2 masks; the last one covers the terminal table.  ``exact``
-    is True when every one-step image landed exactly on a node (finite-state
-    systems), otherwise the sets are a conservative over-approximation by
-    whole cells.
+    There are N+2 masks; the last one covers the terminal table.  Under
+    multilinear interpolation the sets over-approximate the exact
+    reachable tube by whole cells.
+
+    ``selectors[n]`` picks the rows of ``masks[n]`` out of a per-node
+    array, computed once: ``slice(None)`` when every node is marked, a
+    slice for one contiguous node range, else an index array.  Slices
+    yield views, which keeps every arithmetic lane of a sweep free of the
+    NaN that marks unpopulated nodes (NaN lanes are dramatically slower).
     """
 
     grid: StateGrid
     masks: np.ndarray  # (N+2, n_nodes) bool
-    exact: bool
     full: bool = False
+    selectors: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "selectors", tuple(_row_selector(m) for m in self.masks))
 
     def indices(self, stage: int) -> np.ndarray:
         return np.flatnonzero(self.masks[stage])
@@ -229,43 +238,42 @@ class ReachableSets:
         return rows
 
 
+def _row_selector(mask: np.ndarray):
+    rows = np.flatnonzero(mask)
+    if len(rows) == len(mask):
+        return slice(None)
+    if len(rows) and rows[-1] - rows[0] + 1 == len(rows):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 def full_grid_sets(grid: StateGrid, horizon: int) -> ReachableSets:
     """Degenerate reachable sets marking every node at every stage."""
     masks = np.ones((horizon + 2, grid.n_nodes), dtype=bool)
-    return ReachableSets(grid=grid, masks=masks, exact=True, full=True)
+    return ReachableSets(grid=grid, masks=masks, full=True)
 
 
 def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: ControlMesh,
-                         *, interp: str = "multilinear",
-                         compiled=None) -> ReachableSets:
+                         *, compiled) -> ReachableSets:
     """Forward pass marking every node any stage-n interpolation can touch.
 
-    Stage 0 holds the corners of the cell covering xi; stage n+1 collects
-    the corners of every cell touched by a one-step image of a stage-n node
-    under any (control, scenario) pair.  The result over-approximates the
-    exact reachable tube by whole cells, which is cheap and keeps every
-    later interpolation query inside populated territory.
+    ``compiled`` is the ``dp.CompiledSystem`` of (sys, grid, controls); its
+    corner indices are the one-step images, and its interpolation mode
+    decides the corners of xi.  Stage 0 holds the corners of the cell
+    covering xi; stage n+1 collects the corners of every cell touched by a
+    one-step image of a stage-n node under any (control, scenario) pair.
+    The result over-approximates the exact reachable tube by whole cells,
+    which is cheap and keeps every later interpolation query inside
+    populated territory.
     """
     if not grid.contains(xi):
         raise ValueError(f"initial state {xi!r} outside the grid box")
-    from . import dp  # local import: dp depends on mesh
-
-    comp = compiled if compiled is not None else dp.compile_system(
-        sys, grid, controls, interp=interp)
-    n_nodes = grid.n_nodes
-    masks = np.zeros((sys.horizon + 2, n_nodes), dtype=bool)
-    idx0, _ = grid.locate(np.atleast_2d(np.asarray(xi, dtype=float)), mode=comp.interp)
-    masks[0, np.unique(idx0)] = True
-    exact = True
+    masks = np.zeros((sys.horizon + 2, grid.n_nodes), dtype=bool)
+    idx0, _ = grid.locate(np.atleast_2d(np.asarray(xi, dtype=float)), mode=compiled.interp)
+    masks[0, idx0] = True
     for n in range(sys.horizon + 1):
-        rows = np.flatnonzero(masks[n])
-        corner_idx, corner_w = comp.stage(n).corner_idx, comp.stage(n).corner_w
-        touched = corner_idx[:, rows]
-        if comp.interp == "multilinear":
-            exact = exact and bool(
-                np.all(corner_w[:, rows].max(axis=0) >= 1.0 - 1e-12))
-        masks[n + 1, np.unique(touched)] = True
-    return ReachableSets(grid=grid, masks=masks, exact=exact)
+        masks[n + 1, compiled.stage(n).corner_idx[:, masks[n]]] = True
+    return ReachableSets(grid=grid, masks=masks)
 
 
 def interpolate(table, x, mode: str | None = None) -> float:

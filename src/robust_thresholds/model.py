@@ -14,7 +14,7 @@ clamping.  Discretization lives in ``mesh``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -102,8 +102,6 @@ class SystemSpec:
     time_invariant: bool = False
     batchable: bool = False
     name: str = "custom"
-    state_lower: np.ndarray | None = field(default=None, compare=False)
-    state_upper: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -330,6 +328,4 @@ def build_tabular_system(params: TabularParams, horizon: int) -> SystemSpec:
         time_invariant=time_invariant,
         batchable=True,
         name="tabular",
-        state_lower=np.asarray([params.node_coords[0]]),
-        state_upper=np.asarray([params.node_coords[-1]]),
     )

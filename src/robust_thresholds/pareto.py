@@ -32,7 +32,6 @@ __all__ = [
     "ConstrainedValue",
     "project_to_weak_front",
     "weak_front",
-    "reconstruct_set",
     "constrained_maximin_value",
     "threshold_of_policy",
     "strong_pareto_point",
@@ -82,11 +81,6 @@ class FrontResult:
             raise ValueError("empty front has no membership predicate")
         q = as_threshold(query, self.points.shape[1])
         return bool(np.any(np.all(q <= self.points + tol, axis=1)))
-
-
-def reconstruct_set(front: FrontResult, query, tol: float = 0.0) -> bool:
-    """True iff query is componentwise below some front point."""
-    return front.contains(query, tol=tol)
 
 
 def project_to_weak_front(xi, c, sys: SystemSpec, grid: StateGrid,

@@ -168,7 +168,7 @@ def test_criterion_3_reconstruction_consistency(tab_suite, tab_fronts):
             if abs(w) <= RAY_SPACING:
                 continue
             compared += 1
-            if pareto.reconstruct_set(front, c) != (w >= 0):
+            if front.contains(c) != (w >= 0):
                 disagreements += 1
     ok = disagreements == 0
     report(3, "reconstruction consistency", ok,

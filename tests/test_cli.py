@@ -197,6 +197,13 @@ class TestCommands:
         assert any("interpolation: nearest" in l for l in header)
         assert any("full_grid: true" in l for l in header)
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_exit_code_2(self, tmp_path, capsys, jobs):
+        cfgp = write_config(tmp_path, TABULAR_SMALL)
+        assert cli.main(["value", "--config", str(cfgp), "--threshold", "0.5,0.5",
+                         f"--jobs={jobs}"]) == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+
     def test_debug_export_reachable_sets(self, tmp_path):
         cfgp = write_config(tmp_path, TABULAR_SMALL)
         assert cli.main(["weak-front", "--config", str(cfgp),

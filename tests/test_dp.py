@@ -126,18 +126,21 @@ class TestBackwardRecursion:
                           for u in controls.values)
                 assert tables[n].values[i] <= cap + 1e-12
 
-    def test_policy_replay_reproduces_values(self, fishery3):
-        sys, grid, controls, compiled, reach = fishery3
-        c = np.asarray([15.0, 4.0])
-        cv = np.asarray(c)
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-10.0, 130.0), st.floats(-10.0, 60.0))
+    def test_policy_replay_reproduces_values(self, coarse_fishery, c1, c2):
+        # replaying the argmax policy repeats the optimizing sweep's float
+        # operations on the chosen control, so the tables agree bit for bit
+        sys, grid, controls, compiled, reach = coarse_fishery
+        c = np.asarray([c1, c2])
         tables, policy = rt.backward_recursion(sys, grid, controls, reach, c,
                                                compiled=compiled)
         replayed = dp.sweep_policy(compiled, reach, policy,
-                                   compiled.slack_scores(cv),
-                                   compiled.terminal_slack_scores(cv))
+                                   compiled.slack_scores(c),
+                                   compiled.terminal_slack_scores(c))
         for tv, tr in zip(tables, replayed):
-            rows = np.flatnonzero(tv.populated)
-            np.testing.assert_allclose(tr.values[rows], tv.values[rows], atol=1e-12)
+            # populated on the same nodes, equal bit for bit there
+            assert np.array_equal(tr.values, tv.values, equal_nan=True)
 
     def test_bitwise_deterministic_across_runs(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
@@ -256,7 +259,7 @@ class TestStageKernelPinned:
             reach = full_grid_sets(grid, sys.horizon)
         else:
             # the reachable rows are contiguous: the slice path
-            assert isinstance(dp._stage_sel(reach, 1, grid.n_nodes), slice)
+            assert isinstance(reach.selectors[1], slice)
         for c in ([10.0, 5.0], [0.0, 0.0], [30.0, 7.0], [130.0, 60.0]):
             for scores, terminal in self.all_scores(compiled, c):
                 self.assert_pinned(compiled, reach, scores, terminal)
@@ -279,7 +282,7 @@ class TestStageKernelPinned:
         reach = rt.build_reachable_sets([2.2, 1.7], grid, sys, controls,
                                         compiled=compiled)
         # rows of a 2-D reachable set are not one node range
-        assert not isinstance(dp._stage_sel(reach, 1, grid.n_nodes), slice)
+        assert not isinstance(reach.selectors[1], slice)
         for r in (reach, full_grid_sets(grid, sys.horizon)):
             for c in ([1.0, 0.5, -0.3], [0.0, 0.0, 0.0]):
                 for scores, terminal in self.all_scores(compiled, c):
@@ -429,7 +432,7 @@ class TestUnpopulatedDetection:
         masks = np.zeros((sys.horizon + 2, grid.n_nodes), dtype=bool)
         masks[0] = True
         masks[1:, 0] = True
-        broken = rt.ReachableSets(grid=grid, masks=masks, exact=False)
+        broken = rt.ReachableSets(grid=grid, masks=masks)
         with pytest.raises(UnpopulatedNodeError):
             rt.backward_recursion(sys, grid, controls, broken, [0.0, 0.0],
                                   compiled=compiled)

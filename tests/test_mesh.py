@@ -106,7 +106,8 @@ class TestReachableSets:
         sys = build_fishery_system(FisheryParams.default(), horizon=0)
         grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[121])
         controls = rt.ControlMesh.uniform(0.0, 40.0, 5)
-        reach = rt.build_reachable_sets(60.5, grid, sys, controls)
+        compiled = rt.compile_system(sys, grid, controls)
+        reach = rt.build_reachable_sets(60.5, grid, sys, controls, compiled=compiled)
         np.testing.assert_array_equal(reach.indices(0), [60, 61])
 
     def test_tabular_matches_breadth_first_search(self):
@@ -117,22 +118,24 @@ class TestReachableSets:
             for stage, want in enumerate(exact):
                 got = set(int(i) for i in inst.reach.indices(stage))
                 assert got == want, f"stage {stage}"
-            assert inst.reach.exact
 
     def test_fishery_fixed_point_stays_in_one_cell(self):
         params = FisheryParams.default()
         sys = build_fishery_system(params, horizon=6, scenarios=("b",))
         grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[601])
         controls = rt.ControlMesh((0.0,))  # no harvest
-        reach = rt.build_reachable_sets(50.0, grid, sys, controls)
+        compiled = rt.compile_system(sys, grid, controls)
+        reach = rt.build_reachable_sets(50.0, grid, sys, controls, compiled=compiled)
         for stage in range(8):
             assert set(reach.indices(stage)) <= {250, 251}
 
     def test_initial_state_outside_box_rejected(self):
         sys = build_fishery_system(FisheryParams.default(), horizon=1)
         grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[13])
+        controls = rt.ControlMesh((0.0,))
+        compiled = rt.compile_system(sys, grid, controls)
         with pytest.raises(ValueError, match="outside"):
-            rt.build_reachable_sets(130.0, grid, sys, rt.ControlMesh((0.0,)))
+            rt.build_reachable_sets(130.0, grid, sys, controls, compiled=compiled)
 
     def test_full_grid_mode_marks_everything(self):
         grid = rt.StateGrid(lower=[0.0], upper=[1.0], counts=[5])

@@ -87,12 +87,6 @@ class TestWeakFront:
         assert len(front.skipped_sources) == 1
         assert any("enlarge the anchors" in d for d in front.diagnostics)
 
-    def test_reconstruct_set_function_mirrors_method(self, tab_front):
-        _, front = tab_front
-        q = front.points[0]
-        assert pareto.reconstruct_set(front, q)
-        assert not pareto.reconstruct_set(front, q + 1.0)
-
 
 class TestConstrainedMaximin:
     def test_single_component_value_at_least_threshold(self):
