@@ -17,9 +17,9 @@ The same sweep also runs with arbitrary per-stage score arrays instead of
 slacks; the constrained problems behind the strong Pareto front reuse it
 with infeasible state-control pairs masked to a large negative sentinel
 (min/max propagate the sentinel, nothing ever sums it with real payoffs
-except interpolation weights in [0, 1]).  Every score is a nondecreasing
-function of the constraint vector, applied alike to stage constraints,
-terminal constraints and the caps below.
+except interpolation weights in [0, 1]).  Every score form is a min of
+nondecreasing per-component maps of the constraint vector, applied alike
+to stage and terminal constraints.
 
 Dynamics are evaluated exactly, but value tables live on the grid box, so
 an image F_n(x,u,w) outside the box is read through the clamped table
@@ -30,9 +30,10 @@ at the exact image y: the score of theta(y) when the next stage is
 terminal, else the score of the best-case vector G(y) = max over mesh
 controls u' of g_{n+1}(y, u') (componentwise).  V_{n+1}(y) never exceeds
 that score, so the cap is a valid upper bound.  The sweeps take the min
-over scenarios of the reads and the stage score alike, so each cap is
-folded into the stage score of its (x, u) when the scores are built;
-systems whose images stay in the box get their scores unchanged.
+over scenarios of the reads and the stage score alike, so the compiled
+system folds each cap vector into the constraint vector of its (x, u) by
+a componentwise min, which scores bit for bit as the min of the two
+scores.  A threshold then touches only scores.
 
 One backward loop serves both the optimizing sweep (``sweep_scores``) and
 the evaluation of a fixed policy (``sweep_policy``): evaluating a policy
@@ -53,12 +54,12 @@ index, so repeated runs reproduce tables bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .mesh import (ControlMesh, ReachableSets, StateGrid, UnpopulatedNodeError,
-                   full_grid_sets, interpolate)
+                   _require_compiled_from, full_grid_sets, interpolate)
 from .model import SystemSpec, as_threshold
 
 __all__ = [
@@ -133,16 +134,14 @@ class _StageArrays:
     # too, and an intp copy would double their memory.
     corner_idx: np.ndarray  # (C, n_nodes, n_u, n_w) int32
     corner_w: np.ndarray    # (C, n_nodes, n_u, n_w) float64
-    g_vals: np.ndarray      # (n_nodes, n_u, m), constraints on the last axis
+    # constraints on the last axis, already capped componentwise by the
+    # cap vector of every out-of-box image of (node, control)
+    g_vals: np.ndarray      # (n_nodes, n_u, m)
     # one entry per (node, control, scenario) whose image leaves the grid
     # box, sorted by node: the node, the control and the exact image
     out_node: np.ndarray    # (n_out,) int64
     out_u: np.ndarray       # (n_out,) int64
     out_pts: np.ndarray     # (n_out, dim)
-    # the distinct (node, control) pairs among them, as flat indices into
-    # (n_nodes, n_u), and where each pair's run of entries starts
-    out_pair: np.ndarray    # (n_pairs,) int64
-    out_first: np.ndarray   # (n_pairs,) int64
 
 
 class CompiledSystem:
@@ -150,8 +149,10 @@ class CompiledSystem:
 
     Building these costs one pass over node x control x scenario tuples and
     is independent of the threshold, so every threshold solve afterwards is
-    pure array arithmetic.  Time-invariant systems share one table across
-    stages.
+    pure array arithmetic.  ``interp`` ("multilinear" or "nearest") is
+    chosen here and nowhere else.  Time-invariant systems share one table
+    across stages; the last stage gets its own constraint table only when
+    its terminal caps differ from the caps of the others.
     """
 
     def __init__(self, sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
@@ -164,14 +165,20 @@ class CompiledSystem:
         self.controls = controls
         self.interp = interp
         self._nodes = grid.node_coordinates()
-        self._stages: list[_StageArrays] = []
+        horizon = sys.horizon
         if sys.time_invariant:
-            shared = self._build_stage(0)
-            self._stages = [shared] * (sys.horizon + 1)
+            last = self._build_stage(0)
+            shared = replace(last, g_vals=last.g_vals.copy())
+            self._fold_caps(shared, 0)
+            self._fold_caps(last, horizon)
+            if np.array_equal(last.g_vals, shared.g_vals):
+                last = shared
+            self._stages = [shared] * horizon + [last]
         else:
-            self._stages = [self._build_stage(k) for k in range(sys.horizon + 1)]
+            self._stages = [self._build_stage(k) for k in range(horizon + 1)]
+            for k, sa in enumerate(self._stages):
+                self._fold_caps(sa, k)
         self.theta_vals = self._terminal_at(self._nodes)
-        self._out_best = self._build_out_best()
         # grid rows x the largest scenario set of any stage: per control,
         # the size of one corner block of the stage kernel's scratch
         self._row_cells = grid.n_nodes * max(len(om) for om in sys.scenario_sets)
@@ -228,33 +235,30 @@ class CompiledSystem:
                 corner_w[:, :, j, s] = wts.T
         out_node, out_u, out_w = np.nonzero(
             ((images < grid.lower) | (images > grid.upper)).any(axis=-1))
-        pair = out_node * n_u + out_u
-        first = np.flatnonzero(np.diff(pair, prepend=-1))
         return _StageArrays(corner_idx=np.ascontiguousarray(corner_idx),
                             corner_w=np.ascontiguousarray(corner_w),
                             g_vals=g_vals, out_node=out_node, out_u=out_u,
-                            out_pts=images[out_node, out_u, out_w],
-                            out_pair=pair[first], out_first=first)
+                            out_pts=images[out_node, out_u, out_w])
 
-    def _build_out_best(self) -> list[np.ndarray]:
-        """Per stage n, the constraint vector capping each out-of-box read:
-        theta(y) for n = N, else G(y) = max over mesh controls of g_{n+1}(y, .)."""
-        horizon, m = self.sys.horizon, self.sys.threshold_dim
-
-        def best(n: int) -> np.ndarray:
-            pts = self._stages[n].out_pts
-            if not len(pts):
-                return np.empty((0, m))
-            if n == horizon:
-                return self._terminal_at(pts)
-            g = self._constraints_at(n + 1, pts, self.controls.values[0])
+    def _fold_caps(self, sa: _StageArrays, n: int) -> None:
+        """Fold each out-of-box cap of stage n into ``sa.g_vals`` in place:
+        theta(y) for n = N, else G(y) = max over mesh controls of
+        g_{n+1}(y, .), componentwise min into the vector of its (x, u)."""
+        pts = sa.out_pts
+        if not len(pts):
+            return
+        if n == self.sys.horizon:
+            cap = self._terminal_at(pts)
+        else:
+            cap = self._constraints_at(n + 1, pts, self.controls.values[0])
             for u in self.controls.values[1:]:
-                g = np.maximum(g, self._constraints_at(n + 1, pts, u))
-            return g
-
-        if self.sys.time_invariant:
-            return [best(0)] * horizon + [best(horizon)]
-        return [best(n) for n in range(horizon + 1)]
+                cap = np.maximum(cap, self._constraints_at(n + 1, pts, u))
+        # entries are sorted by node, so each (node, control) pair is one run
+        pair = sa.out_node * len(self.controls) + sa.out_u
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        flat = sa.g_vals.reshape(-1, sa.g_vals.shape[-1])  # a view: g_vals is contiguous
+        flat[pair[first]] = np.minimum(flat[pair[first]],
+                                       np.minimum.reduceat(cap, first, axis=0))
 
     def stage(self, k: int) -> _StageArrays:
         return self._stages[k]
@@ -263,48 +267,30 @@ class CompiledSystem:
 
     def _scores(self, score):
         """Per-stage (n_nodes, n_u) and terminal (n_nodes,) scores of a
-        nondecreasing map of constraint vectors (last axis).
-
-        The stage score of (x, u) also takes the cap of every out-of-box
-        read of (x, u, w): the sweeps take the min over scenarios of the
-        reads and the stage score alike, so folding the cap in here is the
-        same as capping each read.  Each distinct table is scored once
-        (time-invariant systems share them across stages).
-        """
-        raw: dict = {}
-        capped: dict = {}
+        nondecreasing map of constraint vectors (last axis).  Each distinct
+        constraint table is scored once (time-invariant systems share one
+        across stages)."""
+        scored: dict = {}
         stage = []
-        for sa, best in zip(self._stages, self._out_best):
-            key = (id(sa), id(best))
-            if key not in capped:
-                if id(sa) not in raw:
-                    raw[id(sa)] = score(sa.g_vals)
-                arr = raw[id(sa)]
-                if len(best):
-                    arr = arr.copy()
-                    cap = np.minimum.reduceat(score(best), sa.out_first)
-                    flat = arr.reshape(-1)
-                    flat[sa.out_pair] = np.minimum(flat[sa.out_pair], cap)
-                capped[key] = arr
-            stage.append(capped[key])
+        for sa in self._stages:
+            key = id(sa.g_vals)
+            if key not in scored:
+                scored[key] = score(sa.g_vals)
+            stage.append(scored[key])
         return stage, score(self.theta_vals)
 
-    def slack_scores(self, c: np.ndarray) -> list[np.ndarray]:
-        """Per-stage (n_nodes, n_u) arrays of min_i (g_i - c_i)."""
-        return self._scores(lambda g: _slack(g, c))[0]
+    def slack_scores(self, c: np.ndarray):
+        """Per-stage (n_nodes, n_u) and terminal arrays of min_i (g_i - c_i)."""
+        return self._scores(lambda g: _slack(g, c))
 
-    def terminal_slack_scores(self, c: np.ndarray) -> np.ndarray:
-        return _slack(self.theta_vals, c)
-
-    def masked_component_scores(self, c: np.ndarray, comp: int,
-                                neg_inf: float = NEG_INF):
+    def masked_component_scores(self, c: np.ndarray, comp: int):
         """Scores for the component-`comp` constrained maximin problem.
 
         A state-control pair scores its comp-th constraint value when the
         whole constraint vector clears c, and the infeasibility sentinel
-        otherwise; same for terminal states and out-of-box caps.
+        otherwise; same for terminal states.
         """
-        return self._scores(lambda g: np.where(_clears(g, c), g[..., comp], neg_inf))
+        return self._scores(lambda g: np.where(_clears(g, c), g[..., comp], NEG_INF))
 
     def component_scores(self, comp: int):
         """Raw per-component constraint values (used for policy rollup)."""
@@ -449,27 +435,27 @@ def _table(stage, threshold, grid, V, interp) -> ValueTable:
 # -- public solver entry points ---------------------------------------------
 
 
-def _ensure(sys, grid, controls, interp, compiled, reach):
-    comp = compiled if compiled is not None else compile_system(sys, grid, controls, interp)
+def _ensure(sys, grid, controls, compiled, reach):
+    if compiled is None:
+        compiled = compile_system(sys, grid, controls)
+    _require_compiled_from(compiled, sys, grid, controls)
     rch = reach if reach is not None else full_grid_sets(grid, sys.horizon)
-    return comp, rch
+    return compiled, rch
 
 
 def backward_recursion(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
                        reach: ReachableSets | None, c, *,
-                       interp: str = "multilinear", compiled: CompiledSystem | None = None,
+                       compiled: CompiledSystem | None = None,
                        want_policy: bool = True):
     """Value tables V_{N+1}..V_0 for threshold c, plus the argmax policy.
 
     Passing ``reach=None`` solves on the full grid.  Ties in the control
-    argmax resolve to the lowest mesh index.  ``interp`` only matters when no
-    precompiled tables are passed; a ``compiled`` argument carries its own
-    interpolation mode.
+    argmax resolve to the lowest mesh index.
     """
-    comp, rch = _ensure(sys, grid, controls, interp, compiled, reach)
+    comp, rch = _ensure(sys, grid, controls, compiled, reach)
     cv = as_threshold(c, sys.threshold_dim)
-    return sweep_scores(comp, rch, comp.slack_scores(cv),
-                        comp.terminal_slack_scores(cv), threshold=cv,
+    stage_scores, terminal = comp.slack_scores(cv)
+    return sweep_scores(comp, rch, stage_scores, terminal, threshold=cv,
                         want_policy=want_policy)
 
 
@@ -479,20 +465,19 @@ def robust_value(xi, tables: list[ValueTable]) -> float:
 
 
 def solve_value(xi, c, sys: SystemSpec, grid: StateGrid, controls: ControlMesh, *,
-                interp: str = "multilinear", compiled: CompiledSystem | None = None,
+                compiled: CompiledSystem | None = None,
                 reach: ReachableSets | None = None) -> float:
     """Convenience: build the tables for c and return W(xi, c)."""
-    tables, _ = backward_recursion(sys, grid, controls, reach, c, interp=interp,
+    tables, _ = backward_recursion(sys, grid, controls, reach, c,
                                    compiled=compiled, want_policy=False)
     return robust_value(xi, tables)
 
 
 def membership(xi, c, sys: SystemSpec, grid: StateGrid, controls: ControlMesh, *,
-               tol: float = 0.0, interp: str = "multilinear",
-               compiled: CompiledSystem | None = None,
+               tol: float = 0.0, compiled: CompiledSystem | None = None,
                reach: ReachableSets | None = None) -> bool:
     """True iff W(xi, c) >= -tol; tol defaults to exact zero."""
     if tol < 0:
         raise ValueError("membership tolerance must be >= 0")
-    return solve_value(xi, c, sys, grid, controls, interp=interp,
-                       compiled=compiled, reach=reach) >= -tol
+    return solve_value(xi, c, sys, grid, controls, compiled=compiled,
+                       reach=reach) >= -tol

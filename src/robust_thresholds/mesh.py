@@ -3,11 +3,12 @@
 The state grid is a rectilinear box with uniformly spaced nodes per
 dimension.  Queries outside the box are clamped componentwise before
 interpolation (the model itself is exact).  A clamped read alone says
-nothing about how far outside the box the query lay, so the backward
-sweeps in ``dp`` cap every read at an out-of-box image by what the
-constraints allow at the exact image.  Multilinear interpolation is the
-default; nearest-node is available so that finite-state test systems
-evaluate with zero discretization error.
+nothing about how far outside the box the query lay, so ``dp`` caps every
+read at an out-of-box image by what the constraints allow at the exact
+image, folding the caps into its compiled constraint tables.  Multilinear
+interpolation is the default; nearest-node is available so that
+finite-state test systems evaluate with zero discretization error.  The
+mode is set only in ``dp.compile_system``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ class StateGrid:
             raise ValueError("grid needs lower < upper in every dimension")
         if np.any(self.counts < 2):
             raise ValueError("grid needs at least 2 nodes per dimension")
+
+    def __eq__(self, other):
+        if not isinstance(other, StateGrid):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("lower", "upper", "counts"))
 
     @property
     def dim(self) -> int:
@@ -253,6 +260,16 @@ def full_grid_sets(grid: StateGrid, horizon: int) -> ReachableSets:
     return ReachableSets(grid=grid, masks=masks, full=True)
 
 
+def _require_compiled_from(compiled, sys: SystemSpec, grid: StateGrid,
+                          controls: ControlMesh) -> None:
+    """Raise ValueError unless ``compiled`` was built from (sys, grid,
+    controls).  Identical objects pass without a comparison."""
+    for name, given, built in (("system", sys, compiled.sys), ("grid", grid, compiled.grid),
+                               ("control mesh", controls, compiled.controls)):
+        if given is not built and given != built:
+            raise ValueError(f"the {name} passed differs from the compiled one")
+
+
 def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: ControlMesh,
                          *, compiled) -> ReachableSets:
     """Forward pass marking every node any stage-n interpolation can touch.
@@ -266,6 +283,7 @@ def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: Control
     which is cheap and keeps every later interpolation query inside
     populated territory.
     """
+    _require_compiled_from(compiled, sys, grid, controls)
     if not grid.contains(xi):
         raise ValueError(f"initial state {xi!r} outside the grid box")
     masks = np.zeros((sys.horizon + 2, grid.n_nodes), dtype=bool)
@@ -276,18 +294,16 @@ def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: Control
     return ReachableSets(grid=grid, masks=masks)
 
 
-def interpolate(table, x, mode: str | None = None) -> float:
+def interpolate(table, x) -> float:
     """Value of a populated node table at state x (clamped into the box).
 
-    ``table`` needs attributes grid / values / populated (see
-    ``dp.ValueTable``).  Multilinear by default; "nearest" returns the
-    nearest node's value.  Touching an unpopulated node raises
-    UnpopulatedNodeError.
+    ``table`` needs attributes grid / values / populated / interp (see
+    ``dp.ValueTable``); with interp "nearest" the nearest node's value is
+    returned.  Touching an unpopulated node raises UnpopulatedNodeError.
     """
     grid: StateGrid = table.grid
-    use = mode if mode is not None else getattr(table, "interp", "multilinear")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    idx, wts = grid.locate(pts, mode=use)
+    idx, wts = grid.locate(pts, mode=table.interp)
     if not np.all(table.populated[idx]):
         raise UnpopulatedNodeError(
             f"query at {x!r} touches unpopulated nodes of stage-{table.stage} table")

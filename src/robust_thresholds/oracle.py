@@ -47,19 +47,16 @@ class OracleBudget:
 
 
 def closedloop_maximin(xi, c, sys: SystemSpec, controls: ControlMesh,
-                       depth: int = 0, budget: OracleBudget | None = None,
-                       memoize: bool = True) -> float:
+                       budget: OracleBudget | None = None) -> float:
     """Game-tree value: controller commits a mesh control at each reached
     state, then the worst scenario element is revealed, stage by stage.
 
     Direct recursive evaluation on exact states, no grid.  Memoization only
     collapses repeated (stage, state) subtrees (exact-key lookups, so results
-    are bit-identical with or without it); disable it to force the full tree.
+    are bit-identical to the full tree).
     """
     cv = as_threshold(c, sys.threshold_dim)
     bud = budget if budget is not None else OracleBudget()
-    if not 0 <= depth <= sys.horizon:
-        raise ValueError(f"depth {depth} out of range [0, {sys.horizon}]")
     m = sys.threshold_dim
     cs = [float(v) for v in cv]
     dyn, g_of, th_of = sys.dynamics, sys.stage_constraints, sys.terminal_constraint
@@ -69,11 +66,10 @@ def closedloop_maximin(xi, c, sys: SystemSpec, controls: ControlMesh,
         return float(x) if np.ndim(x) == 0 else tuple(np.ravel(x))
 
     def value(n, x):
-        if memoize:
-            key = (n, key_of(x))
-            hit = seen.get(key)
-            if hit is not None:
-                return hit
+        key = (n, key_of(x))
+        hit = seen.get(key)
+        if hit is not None:
+            return hit
         bud.spend()
         if n == sys.horizon + 1:
             th = th_of(x)
@@ -86,11 +82,10 @@ def closedloop_maximin(xi, c, sys: SystemSpec, controls: ControlMesh,
                 worst_next = min(value(n + 1, dyn(n, x, u, w))
                                  for w in sys.scenario_sets[n])
                 out = max(out, min(worst_next, here))
-        if memoize:
-            seen[key] = out
+        seen[key] = out
         return out
 
-    return value(depth, xi)
+    return value(0, xi)
 
 
 def openloop_maximin(xi, c, sys: SystemSpec, controls: ControlMesh,

@@ -84,8 +84,8 @@ class FrontResult:
 
 
 def project_to_weak_front(xi, c, sys: SystemSpec, grid: StateGrid,
-                          controls: ControlMesh, *, interp: str = "multilinear",
-                          compiled=None, reach=None, value: float | None = None):
+                          controls: ControlMesh, *, compiled=None, reach=None,
+                          value: float | None = None):
     """Diagonal projection c + W(xi, c) * 1 of an unsustainable threshold.
 
     Requires W(xi, c) < 0; pass ``value`` to reuse an already computed W.
@@ -93,7 +93,7 @@ def project_to_weak_front(xi, c, sys: SystemSpec, grid: StateGrid,
     """
     cv = as_threshold(c, sys.threshold_dim)
     w = value if value is not None else dp.solve_value(
-        xi, cv, sys, grid, controls, interp=interp, compiled=compiled, reach=reach)
+        xi, cv, sys, grid, controls, compiled=compiled, reach=reach)
     if w >= 0:
         raise ValueError(
             f"threshold {cv.tolist()} is already sustainable (W = {w}); "
@@ -102,21 +102,20 @@ def project_to_weak_front(xi, c, sys: SystemSpec, grid: StateGrid,
 
 
 def weak_front(xi, mesh, sys: SystemSpec, grid: StateGrid, controls: ControlMesh, *,
-               interp: str = "multilinear", front_tol: float | None = None,
-               revalidate: bool = True, compiled=None, reach=None,
+               front_tol: float | None = None, compiled=None, reach=None,
                jobs: int = 1) -> FrontResult:
     """Project every valid threshold-mesh point onto the weak Pareto front.
 
     Mesh points that turn out sustainable (W >= 0, anchors too small) are
-    skipped and reported.  With ``revalidate`` each projected point is
-    re-solved and |W(xi, p)| compared against ``front_tol``; residuals beyond
-    it and out-of-order sweep coordinates become diagnostics, not errors.
+    skipped and reported.  Each projected point is re-solved and |W(xi, p)|
+    compared against ``front_tol``; residuals beyond it and out-of-order
+    sweep coordinates become diagnostics, not errors.
     """
     points = mesh.points if isinstance(mesh, ThresholdRayMesh) else np.atleast_2d(
         np.asarray(mesh, dtype=float))
     if len(points) == 0:
         raise ValueError("empty threshold mesh")
-    comp, rch = dp._ensure(sys, grid, controls, interp, compiled, reach)
+    comp, rch = dp._ensure(sys, grid, controls, compiled, reach)
     tol = front_tol if front_tol is not None else default_front_tol(grid, comp.interp)
 
     def solve(c):
@@ -139,7 +138,7 @@ def weak_front(xi, mesh, sys: SystemSpec, grid: StateGrid, controls: ControlMesh
             f"(W = {w:.6g}); enlarge the anchors")
 
     reval = np.full(len(front_points), np.nan)
-    if revalidate and len(front_points):
+    if len(front_points):
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as ex:
                 reval = np.asarray(list(ex.map(solve, front_points)))
@@ -179,7 +178,6 @@ class ConstrainedValue:
     value: float
     feasible: bool
     policy: dp.FeedbackPolicy
-    tables: list
 
     def require_feasible(self, c) -> None:
         if not self.feasible:
@@ -191,8 +189,7 @@ class ConstrainedValue:
 
 def constrained_maximin_value(xi, component: int, c, sys: SystemSpec,
                               grid: StateGrid, controls: ControlMesh, *,
-                              interp: str = "multilinear", compiled=None,
-                              reach=None) -> ConstrainedValue:
+                              compiled=None, reach=None) -> ConstrainedValue:
     """Best worst-case over scenarios of the running minimum of one
     constraint component, over policies that keep the whole constraint
     vector at or above c.
@@ -204,19 +201,18 @@ def constrained_maximin_value(xi, component: int, c, sys: SystemSpec,
     if not 0 <= component < sys.threshold_dim:
         raise ValueError(f"component {component} out of range")
     cv = as_threshold(c, sys.threshold_dim)
-    comp, rch = dp._ensure(sys, grid, controls, interp, compiled, reach)
+    comp, rch = dp._ensure(sys, grid, controls, compiled, reach)
     stage_scores, terminal = comp.masked_component_scores(cv, component)
     tables, policy = dp.sweep_scores(comp, rch, stage_scores, terminal,
                                      threshold=cv, want_policy=True)
     value = dp.robust_value(xi, tables)
     return ConstrainedValue(component=component, value=value,
                             feasible=value > dp.NEG_INF_CUTOFF,
-                            policy=policy, tables=tables)
+                            policy=policy)
 
 
 def threshold_of_policy(xi, policy: dp.FeedbackPolicy, sys: SystemSpec,
-                        grid: StateGrid, *, interp: str = "multilinear",
-                        compiled=None, reach=None) -> np.ndarray:
+                        grid: StateGrid, *, compiled=None, reach=None) -> np.ndarray:
     """Threshold vector a feedback policy guarantees from xi.
 
     Component j is the closed-loop worst case over scenarios of the minimum
@@ -224,7 +220,7 @@ def threshold_of_policy(xi, policy: dp.FeedbackPolicy, sys: SystemSpec,
     policy-evaluation sweep per component.  The result is itself a
     sustainable threshold for the policy that produced it.
     """
-    comp, rch = dp._ensure(sys, grid, policy.controls, interp, compiled, reach)
+    comp, rch = dp._ensure(sys, grid, policy.controls, compiled, reach)
     out = np.empty(sys.threshold_dim)
     for j in range(sys.threshold_dim):
         stage_scores, terminal = comp.component_scores(j)
@@ -273,8 +269,8 @@ def _largest_accepted_level(solve, c: np.ndarray, comp: int, tol: float,
 
 
 def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
-                        controls: ControlMesh, *, interp: str = "multilinear",
-                        compiled=None, reach=None, membership_tol: float = 0.0,
+                        controls: ControlMesh, *, compiled=None, reach=None,
+                        membership_tol: float = 0.0,
                         diag_tol: float = 1e-9) -> StrongChain:
     """Walk the sequential constrained-maximin chain from a sustainable c0.
 
@@ -286,7 +282,9 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
     coordinates of all later chain members) are measured and reported as
     residuals; violations beyond ``diag_tol`` become diagnostics.
 
-    Every chain member is certified by the robust value: W >= -membership_tol.
+    A masked step is kept only when its rolled-up threshold gamma is >= c,
+    equals c on the components already maximized and has the step value as
+    gamma[sigma_i] (each within ``diag_tol``), and W(gamma) >= -membership_tol.
     On coarse multilinear grids the masked step can blend its sentinel
     across cells, or roll up a threshold that W rejects.  Such a step
     instead raises only component sigma_i of the current member to the
@@ -299,7 +297,7 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
     if sorted(perm) != list(range(m)):
         raise ValueError(f"sigma {sigma!r} is not a permutation of 0..{m - 1}")
     c0v = as_threshold(c0, m)
-    comp, rch = dp._ensure(sys, grid, controls, interp, compiled, reach)
+    comp, rch = dp._ensure(sys, grid, controls, compiled, reach)
 
     def solve(c):
         return dp.solve_value(xi, c, sys, grid, controls, compiled=comp, reach=rch)
@@ -319,7 +317,11 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
         if res.feasible:
             gamma = threshold_of_policy(xi, res.policy, sys, grid,
                                         compiled=comp, reach=rch)
-            if solve(gamma) < -membership_tol:
+            done = list(perm[:i])
+            if not (np.all(gamma >= c - diag_tol)
+                    and np.all(np.abs(gamma[done] - c[done]) <= diag_tol)
+                    and abs(gamma[perm[i]] - res.value) <= diag_tol
+                    and solve(gamma) >= -membership_tol):
                 gamma = None
         if gamma is None:
             # W is at most the best stage-0 slack, so W rejects `upper`

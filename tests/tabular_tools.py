@@ -1,4 +1,5 @@
-"""Shared helpers: random finite-state instances and tiny reference recursions.
+"""Shared helpers: random finite-state instances, a small 2-D system and
+tiny reference recursions.
 
 The generated systems have node-to-node transitions, so nearest-node solves
 carry zero discretization error and every grid quantity can be checked
@@ -131,3 +132,29 @@ def tree_policy_threshold(inst: TabularInstance, policy: rt.FeedbackPolicy) -> n
 
     start = int(np.searchsorted(p.node_coords, inst.xi))
     return np.asarray([comp_value(0, start, j) for j in range(m)])
+
+
+
+PLANE_XI = (2.2, 1.7)
+
+
+def plane_problem():
+    """(sys, grid, controls, compiled, reach) of a 2-D time-varying system
+    with 3 scenarios and 3 constraint components on a 9x9 grid with 5
+    controls, reachable from ``PLANE_XI``: the 4-corner gather, the
+    index-array rows and the longer slice loops, with images leaving the
+    grid box on both sides."""
+    shifts = ((0.3, -0.2), (-0.1, 0.4), (0.0, 0.0))
+    sys = rt.SystemSpec(
+        horizon=2, state_dim=2, threshold_dim=3,
+        dynamics=lambda k, x, u, w: (0.8 + 0.05 * k) * np.asarray(x) + u + np.asarray(w),
+        stage_constraints=lambda k, x, u: np.asarray([x[0], x[1] - 0.1 * k, -abs(u)]),
+        terminal_constraint=lambda x: np.asarray([x[0], x[1], 0.0]),
+        control_space=rt.IntervalControlSpace(-0.5, 0.5),
+        scenario_sets=(shifts,) * 3,
+    )
+    grid = rt.StateGrid(lower=[0.0, 0.0], upper=[4.0, 4.0], counts=[9, 9])
+    controls = rt.ControlMesh.uniform(-0.5, 0.5, 5)
+    compiled = rt.compile_system(sys, grid, controls)
+    reach = rt.build_reachable_sets(PLANE_XI, grid, sys, controls, compiled=compiled)
+    return sys, grid, controls, compiled, reach

@@ -7,7 +7,7 @@ from robust_thresholds import dp, oracle
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
 from robust_thresholds.mesh import UnpopulatedNodeError, full_grid_sets
 
-from tabular_tools import random_instance, solve_w
+from tabular_tools import plane_problem, random_instance, solve_w
 
 
 @pytest.fixture(scope="module")
@@ -89,11 +89,9 @@ class TestBackwardRecursion:
         c = np.asarray([0.5, -1.25])
         for t in (0.5, -2.0, 1.75):
             base, _ = rt.backward_recursion(inst.sys, inst.grid, inst.controls,
-                                            inst.reach, c, interp="nearest",
-                                            compiled=inst.compiled)
+                                            inst.reach, c, compiled=inst.compiled)
             shifted, _ = rt.backward_recursion(inst.sys, inst.grid, inst.controls,
-                                               inst.reach, c + t, interp="nearest",
-                                               compiled=inst.compiled)
+                                               inst.reach, c + t, compiled=inst.compiled)
             for tb, ts in zip(base, shifted):
                 rows = np.flatnonzero(tb.populated)
                 np.testing.assert_allclose(ts.values[rows], tb.values[rows] - t,
@@ -135,9 +133,7 @@ class TestBackwardRecursion:
         c = np.asarray([c1, c2])
         tables, policy = rt.backward_recursion(sys, grid, controls, reach, c,
                                                compiled=compiled)
-        replayed = dp.sweep_policy(compiled, reach, policy,
-                                   compiled.slack_scores(c),
-                                   compiled.terminal_slack_scores(c))
+        replayed = dp.sweep_policy(compiled, reach, policy, *compiled.slack_scores(c))
         for tv, tr in zip(tables, replayed):
             # populated on the same nodes, equal bit for bit there
             assert np.array_equal(tr.values, tv.values, equal_nan=True)
@@ -215,20 +211,6 @@ def _reference_policy_sweep(compiled, reach, choices, stage_scores, terminal_sco
     return values[::-1]
 
 
-def _plane_system(horizon=2):
-    """2-D time-varying system, 3 scenarios, 3 constraint components: the
-    4-corner gather, the index-array rows and the longer slice loops."""
-    shifts = ((0.3, -0.2), (-0.1, 0.4), (0.0, 0.0))
-    return rt.SystemSpec(
-        horizon=horizon, state_dim=2, threshold_dim=3,
-        dynamics=lambda k, x, u, w: (0.8 + 0.05 * k) * np.asarray(x) + u + np.asarray(w),
-        stage_constraints=lambda k, x, u: np.asarray([x[0], x[1] - 0.1 * k, -abs(u)]),
-        terminal_constraint=lambda x: np.asarray([x[0], x[1], 0.0]),
-        control_space=rt.IntervalControlSpace(-0.5, 0.5),
-        scenario_sets=(shifts,) * (horizon + 1),
-    )
-
-
 class TestStageKernelPinned:
     """The sweeps equal a plain reference recursion bit for bit: same float
     operations, same order, only the reductions are taken slice-wise."""
@@ -247,7 +229,7 @@ class TestStageKernelPinned:
 
     def all_scores(self, compiled, c):
         c = np.asarray(c, dtype=float)
-        yield compiled.slack_scores(c), compiled.terminal_slack_scores(c)
+        yield compiled.slack_scores(c)
         for comp in range(len(c)):
             yield compiled.masked_component_scores(c, comp)
             yield compiled.component_scores(comp)
@@ -274,13 +256,8 @@ class TestStageKernelPinned:
                         self.assert_pinned(inst.compiled, reach, scores, terminal)
 
     def test_plane_system(self):
-        sys = _plane_system()
-        grid = rt.StateGrid(lower=[0.0, 0.0], upper=[4.0, 4.0], counts=[9, 9])
-        controls = rt.ControlMesh.uniform(-0.5, 0.5, 5)
-        compiled = rt.compile_system(sys, grid, controls)
+        sys, grid, controls, compiled, reach = plane_problem()
         assert compiled.stage(0).corner_idx.shape == (4, 81, 5, 3)
-        reach = rt.build_reachable_sets([2.2, 1.7], grid, sys, controls,
-                                        compiled=compiled)
         # rows of a 2-D reachable set are not one node range
         assert not isinstance(reach.selectors[1], slice)
         for r in (reach, full_grid_sets(grid, sys.horizon)):
@@ -336,17 +313,62 @@ class TestOutOfBoxReads:
         got = zip(sa.out_node.tolist(), sa.out_u.tolist(), sa.out_pts[:, 0].tolist())
         assert sorted(got) == sorted(expected)
 
+    @staticmethod
+    def reference_vectors(sys, grid, controls, n):
+        """Per (node, control) of stage n, from the system callables alone:
+        the raw constraint vector and the cap vector of every image outside
+        the box (theta(y) before the terminal stage, else the componentwise
+        max over the mesh of g_{n+1}(y, .))."""
+        rows = []
+        for node in grid.node_coordinates():
+            x = float(node[0]) if grid.dim == 1 else node
+            for u in controls.values:
+                caps = []
+                for w in sys.scenario_sets[n]:
+                    y = sys.step(n, x, u, w)
+                    ya = np.atleast_1d(y)
+                    if np.any(ya < grid.lower) or np.any(ya > grid.upper):
+                        caps.append(sys.terminal(y) if n == sys.horizon else np.max(
+                            [sys.stage_constraint(n + 1, y, v) for v in controls.values],
+                            axis=0))
+                rows.append((sys.stage_constraint(n, x, u), caps))
+        return rows
+
+    @classmethod
+    def assert_caps_folded(cls, sys, grid, controls, compiled, n, thresholds):
+        rows = cls.reference_vectors(sys, grid, controls, n)
+        shape = (grid.n_nodes, len(controls))
+        assert sum(len(caps) for _, caps in rows) > 0
+        for c in map(np.asarray, thresholds):
+            forms = [(compiled.slack_scores(c), lambda g: float(np.min(g - c)))]
+            for k in range(len(c)):
+                forms.append((compiled.masked_component_scores(c, k),
+                              lambda g, k=k: g[k] if np.all(g >= c) else dp.NEG_INF))
+                forms.append((compiled.component_scores(k), lambda g, k=k: g[k]))
+            for (stage_scores, _), score in forms:
+                want = [min([score(g)] + [score(cap) for cap in caps])
+                        for g, caps in rows]
+                np.testing.assert_array_equal(stage_scores[n],
+                                              np.reshape(want, shape))
+
     def test_caps_fold_next_stage_constraints_into_stage_scores(self, fishery3):
-        sys, grid, controls, compiled, _ = fishery3
-        c = np.asarray([3.0, 5.0])
-        sa = compiled.stage(0)
-        scores = compiled.slack_scores(c)
-        # fishery: g(y, u) = (y, u), so G(y) = (y, u_max); theta(y) = (y, m_big)
-        for stage, best_harvest in ((0, 40.0), (sys.horizon, 1.0e6)):
-            want = (sa.g_vals - c).min(axis=-1)
-            for i, j, y in zip(sa.out_node, sa.out_u, sa.out_pts[:, 0]):
-                want[i, j] = min(want[i, j], y - c[0], best_harvest - c[1])
-            np.testing.assert_array_equal(scores[stage], want)
+        # the default fishery shares one capped constraint table across all
+        # stages: its terminal caps equal the caps of the other stages
+        sys, _, _, compiled, _ = fishery3
+        assert len({id(compiled.stage(n).g_vals) for n in range(sys.horizon + 1)}) == 1
+        sys = build_fishery_system(FisheryParams.default(), horizon=3)
+        grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[241])
+        controls = rt.ControlMesh.uniform(0.0, 40.0, 5)
+        compiled = rt.compile_system(sys, grid, controls)
+        for n in (0, sys.horizon):
+            self.assert_caps_folded(sys, grid, controls, compiled, n,
+                                    ([3.0, 5.0], [20.0, 2.0], [0.0, 0.0]))
+
+    def test_caps_fold_on_every_stage_of_the_plane_system(self):
+        sys, grid, controls, compiled, _ = plane_problem()
+        for n in range(sys.horizon + 1):
+            self.assert_caps_folded(sys, grid, controls, compiled, n,
+                                    ([1.0, 0.5, -0.3], [0.5, 0.5, -0.5]))
 
     def test_node_closed_tabular_systems_have_no_out_of_box_reads(self):
         rng = np.random.default_rng(10)
@@ -392,8 +414,7 @@ class TestRobustValueAndMembership:
             w = solve_w(inst, c)
             assert w == int(w)
             member = rt.membership(inst.xi, c, inst.sys, inst.grid, inst.controls,
-                                   compiled=inst.compiled, reach=inst.reach,
-                                   interp="nearest")
+                                   compiled=inst.compiled, reach=inst.reach)
             assert member == (w >= 0)
 
     def test_membership_agrees_with_exhaustive_oracle(self):
@@ -403,12 +424,21 @@ class TestRobustValueAndMembership:
             for _ in range(8):
                 c = rng.uniform(-6, 6, size=2)
                 got = rt.membership(inst.xi, c, inst.sys, inst.grid, inst.controls,
-                                    compiled=inst.compiled, reach=inst.reach,
-                                    interp="nearest")
+                                    compiled=inst.compiled, reach=inst.reach)
                 want = oracle.exhaustive_membership(inst.xi, c, inst.sys,
                                                     inst.controls)
                 # closed loop can only beat open loop
                 assert got or not want
+
+    def test_inputs_other_than_the_compiled_ones_rejected(self, fishery3):
+        sys, grid, controls, compiled, reach = fishery3
+        coarse = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[121])
+        with pytest.raises(ValueError, match="grid passed differs"):
+            rt.solve_value(60.0, [0.0, 0.0], sys, coarse, controls,
+                           compiled=compiled, reach=reach)
+        with pytest.raises(ValueError, match="control mesh passed differs"):
+            rt.backward_recursion(sys, grid, rt.ControlMesh.uniform(0.0, 40.0, 5),
+                                  reach, [0.0, 0.0], compiled=compiled)
 
     def test_negative_tolerance_rejected(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3

@@ -137,6 +137,26 @@ class TestReachableSets:
         with pytest.raises(ValueError, match="outside"):
             rt.build_reachable_sets(130.0, grid, sys, controls, compiled=compiled)
 
+    def test_inputs_other_than_the_compiled_ones_rejected(self):
+        sys = build_fishery_system(FisheryParams.default(), horizon=1)
+        grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[121])
+        controls = rt.ControlMesh((0.0, 10.0))
+        compiled = rt.compile_system(sys, grid, controls)
+        finer = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[241])
+        with pytest.raises(ValueError, match="grid passed differs"):
+            rt.build_reachable_sets(60.0, finer, sys, controls, compiled=compiled)
+        with pytest.raises(ValueError, match="control mesh passed differs"):
+            rt.build_reachable_sets(60.0, grid, sys, rt.ControlMesh((0.0,)),
+                                    compiled=compiled)
+        longer = build_fishery_system(FisheryParams.default(), horizon=2)
+        with pytest.raises(ValueError, match="system passed differs"):
+            rt.build_reachable_sets(60.0, grid, longer, controls, compiled=compiled)
+        # equal but distinct inputs are accepted
+        same = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[121])
+        reach = rt.build_reachable_sets(60.0, same, sys, rt.ControlMesh((0.0, 10.0)),
+                                        compiled=compiled)
+        assert reach.masks.shape == (3, 121)
+
     def test_full_grid_mode_marks_everything(self):
         grid = rt.StateGrid(lower=[0.0], upper=[1.0], counts=[5])
         reach = full_grid_sets(grid, horizon=2)
@@ -167,6 +187,15 @@ class TestStateGrid:
             rt.StateGrid(lower=[1.0], upper=[1.0], counts=[4])
         with pytest.raises(ValueError, match="2 nodes"):
             rt.StateGrid(lower=[0.0], upper=[1.0], counts=[1])
+
+    def test_equality_is_arraywise(self):
+        grid = rt.StateGrid(lower=[0.0, 10.0], upper=[1.0, 12.0], counts=[2, 3])
+        assert grid == rt.StateGrid(lower=[0.0, 10.0], upper=[1.0, 12.0],
+                                    counts=[2, 3])
+        assert grid != rt.StateGrid(lower=[0.0, 10.0], upper=[1.0, 12.0],
+                                    counts=[2, 4])
+        assert grid != rt.StateGrid(lower=[0.0], upper=[1.0], counts=[2])
+        assert grid != "grid"
 
     def test_node_coordinates_c_order(self):
         grid = rt.StateGrid(lower=[0.0, 10.0], upper=[1.0, 12.0], counts=[2, 3])

@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import robust_thresholds as rt
 from robust_thresholds import dp, oracle, pareto
 
-from tabular_tools import (random_instance, solve_w, tree_constrained_value,
-                           tree_policy_threshold)
+from tabular_tools import (PLANE_XI, plane_problem, random_instance, solve_w,
+                           tree_constrained_value, tree_policy_threshold)
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +190,7 @@ class TestThresholdOfPolicy:
             inst = random_instance(rng)
             _, policy = rt.backward_recursion(
                 inst.sys, inst.grid, inst.controls, inst.reach, [-3.0, -3.0],
-                interp="nearest", compiled=inst.compiled)
+                compiled=inst.compiled)
             gamma = pareto.threshold_of_policy(inst.xi, policy, inst.sys, inst.grid,
                                                compiled=inst.compiled,
                                                reach=inst.reach)
@@ -243,6 +245,21 @@ class TestStrongChain:
                 best = c1
         assert chain.endpoint[0] >= best - 1e-9
         assert solve_w(inst, chain.endpoint) >= -1e-12
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))),
+                             ids=lambda p: "".join(map(str, p)))
+    def test_plane_chains_clean_in_every_order(self, perm):
+        # the masked step 1 of orders (2, 0, 1) and (2, 1, 0) blends the
+        # sentinel into a finite value near -4.8e8 whose rolled-up threshold
+        # W accepts; it must go to the W line search instead
+        sys, grid, controls, compiled, reach = plane_problem()
+        chain = pareto.strong_pareto_point(PLANE_XI, [0.5, 0.5, -0.5], perm, sys,
+                                           grid, controls, compiled=compiled,
+                                           reach=reach)
+        assert chain.diagnostics == []
+        for c in chain.chain:
+            assert rt.solve_value(PLANE_XI, c, sys, grid, controls,
+                                  compiled=compiled, reach=reach) >= 0.0
 
     def test_infeasible_start_rejected(self, tab):
         with pytest.raises(pareto.InfeasibleThresholdError, match="not sustainable"):
