@@ -31,6 +31,9 @@ from .model import as_threshold
 
 __all__ = ["main"]
 
+# |W - closed-loop oracle| allowed on nearest-node tabular models
+ORACLE_TOL = 1e-12
+
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -113,6 +116,20 @@ def _oracles(problem: Problem, c):
     ol = oracle.openloop_maximin(*query, budget=budget)
     ex = oracle.exhaustive_membership(*query, budget=budget)
     return cl, ol, ex, budget.used
+
+
+def _oracle_disagreement(problem: Problem, w: float, cl: float) -> str | None:
+    """A message when W must equal the closed-loop oracle but does not.
+
+    A tabular model solved with nearest-node interpolation moves node to
+    node, so its grid solve carries no discretization error and equals the
+    oracle up to ``ORACLE_TOL``; other models are not compared."""
+    cfg = problem.config
+    if (cfg.model_kind == "tabular" and cfg.interpolation == "nearest"
+            and abs(w - cl) > ORACLE_TOL):
+        return (f"solver W differs from the closed-loop oracle by {_fmt(w - cl)} "
+                f"on a nearest-node tabular model")
+    return None
 
 
 # -- commands ----------------------------------------------------------------
@@ -266,12 +283,16 @@ def cmd_membership(args) -> int:
     verdict = w >= -cfg.membership_tol
     lines = [f"W(xi, c) = {_fmt(w)}",
              f"membership (tol {cfg.membership_tol}): {verdict}"]
+    disagreement = None
     if cfg.oracle:
         cl, ol, ex, used = _oracles(problem, c)
         lines += [f"oracle closed-loop value = {_fmt(cl)}",
                   f"oracle open-loop value  = {_fmt(ol)}",
                   f"oracle exhaustive membership = {ex}",
                   f"oracle expansions used = {used}"]
+        disagreement = _oracle_disagreement(problem, w, cl)
+        if disagreement:
+            lines.append(f"error: {disagreement}")
     report = "\n".join(lines)
     print(report)
     out = Path(cfg.output_dir)
@@ -290,7 +311,7 @@ def cmd_membership(args) -> int:
         _write(out / "value_tables.csv", _header("membership", problem),
                ["stage", *(f"x_{d + 1}" for d in range(problem.grid.dim)), "value"],
                rows)
-    return 0
+    return 1 if disagreement else 0
 
 
 def cmd_value(args) -> int:
@@ -306,10 +327,15 @@ def cmd_oracle_check(args) -> int:
     print(f"open-loop oracle         = {_fmt(ol)}  (information gap {_fmt(cl - ol)})")
     print(f"exhaustive membership    = {ex}")
     print(f"expansions used          = {used}")
+    failed = False
     if ol > cl + 1e-9:
         print("warning: open-loop value exceeds closed-loop value")
-        return 1
-    return 0
+        failed = True
+    disagreement = _oracle_disagreement(problem, w, cl)
+    if disagreement:
+        print(f"error: {disagreement}")
+        failed = True
+    return 1 if failed else 0
 
 
 def cmd_analytic_fishery(args) -> int:

@@ -38,15 +38,31 @@ scores.  A threshold then touches only scores.
 One backward loop serves both the optimizing sweep (``sweep_scores``) and
 the evaluation of a fixed policy (``sweep_policy``): evaluating a policy
 is the same max over a one-control set, each row gathering only the cells
-of its chosen control.  Every stage runs one kernel.  It gathers the
-next-stage values corner by corner with ``take`` and accumulates the
-weighted corners in place, then takes the minimum over scenarios and with
-the stage score.  The scenario axis, like the constraint axis of the score
-builders, is short (two entries on the fishery) and trailing, so every
-minimum over it is taken slice by slice with ``np.minimum``: a ufunc
-reduction over a 2-element axis costs an order of magnitude more than
-the elementwise minimum of its two slices.  The float operations are the
-same either way, so tables are bitwise those of a plain ``.min(axis=-1)``.
+of its chosen control.  Every stage runs one kernel.  Corner j of the
+grid cell an image falls in is node base + offsets[j]: ``StateGrid.locate``
+keeps every cell inside the grid, so the offsets follow from the grid
+strides alone, and the compiled system stores one intp ``base`` per
+(node, control, scenario) instead of 2**dim corner indices.  Each stage
+builds the stencil table S[k, j] = V[k + offsets[j]] of the next-stage
+values and gathers whole rows of it with one ``take`` on ``base``.  The
+interpolation weights are stored corner-last, so the gathered block is
+weighted in one contiguous pass; the corners are then summed in place in
+corner order, which gives the products and sums of a corner-by-corner
+accumulation.  Under nearest-node interpolation there is one corner and
+the gather reads V directly.  The kernel then takes the minimum over
+scenarios and with the stage score.  The scenario axis, like the
+constraint axis of the score builders, is short (two entries on the
+fishery), so every minimum over it is taken slice by slice with
+``np.minimum``: a ufunc reduction over a 2-element axis costs an order of
+magnitude more than the elementwise minimum of its two slices.  The float
+operations are the same either way, so tables are bitwise those of a
+plain ``.min(axis=-1)``.
+
+The gathered block and the per-stage result live in one scratch buffer
+per thread and compiled system (``CompiledSystem._scratch``), kept across
+sweeps: ``weak_front`` may solve in several threads on one compiled
+system, and a fresh block per sweep faults in megabytes of new pages on
+every solve.
 
 Everything here is deterministic: control ties resolve to the lowest mesh
 index, so repeated runs reproduce tables bitwise.
@@ -54,6 +70,7 @@ index, so repeated runs reproduce tables bitwise.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,13 +144,15 @@ def terminal_slack(sys: SystemSpec, x, c) -> float:
 
 @dataclass
 class _StageArrays:
-    # Corner-major: corner_idx[j] and corner_w[j] of a contiguous row range
-    # are contiguous blocks, which the stage kernel gathers and weights one
-    # corner at a time.  Scenarios are the last axis, so the kernel reduces
-    # over them slice by slice.  Indices stay int32: reachability reads them
-    # too, and an intp copy would double their memory.
-    corner_idx: np.ndarray  # (C, n_nodes, n_u, n_w) int32
-    corner_w: np.ndarray    # (C, n_nodes, n_u, n_w) float64
+    # Corner j of the cell an image falls in is node base + offsets[j]
+    # (``StateGrid.corner_offsets``), so one intp base per cell stands for
+    # all 2**dim corner indices.  The stage kernel gathers whole rows of a
+    # stencil table with it.  The weights are corner-last, so the gathered
+    # rows are weighted in one contiguous pass; scenarios come before them,
+    # and the kernel reduces over scenarios slice by slice.
+    base: np.ndarray        # (n_nodes, n_u, n_w) intp
+    corner_w: np.ndarray    # (n_nodes, n_u, n_w, C) float64
+    offsets: np.ndarray     # (C,) intp, shared by every stage
     # constraints on the last axis, already capped componentwise by the
     # cap vector of every out-of-box image of (node, control)
     g_vals: np.ndarray      # (n_nodes, n_u, m)
@@ -142,6 +161,12 @@ class _StageArrays:
     out_node: np.ndarray    # (n_out,) int64
     out_u: np.ndarray       # (n_out,) int64
     out_pts: np.ndarray     # (n_out, dim)
+
+    @property
+    def corner_idx(self) -> np.ndarray:
+        """Corner node indices (C, n_nodes, n_u, n_w), built on each access
+        from ``base`` and ``offsets``; the solver never reads it."""
+        return self.offsets[:, None, None, None] + self.base
 
 
 class CompiledSystem:
@@ -164,6 +189,7 @@ class CompiledSystem:
         self.grid = grid
         self.controls = controls
         self.interp = interp
+        self.offsets = grid.corner_offsets(interp)
         self._nodes = grid.node_coordinates()
         horizon = sys.horizon
         if sys.time_invariant:
@@ -179,9 +205,11 @@ class CompiledSystem:
             for k, sa in enumerate(self._stages):
                 self._fold_caps(sa, k)
         self.theta_vals = self._terminal_at(self._nodes)
-        # grid rows x the largest scenario set of any stage: per control,
-        # the size of one corner block of the stage kernel's scratch
-        self._row_cells = grid.n_nodes * max(len(om) for om in sys.scenario_sets)
+        # per control, the stage kernel's scratch at its largest stage: the
+        # gathered corners of every (row, scenario) and one result per row
+        n_w = max(len(om) for om in sys.scenario_sets)
+        self._scratch_per_control = grid.n_nodes * (n_w * len(self.offsets) + 1)
+        self._local = threading.local()
 
     # internal evaluation helpers ------------------------------------------------
 
@@ -220,10 +248,9 @@ class CompiledSystem:
     def _build_stage(self, k: int) -> _StageArrays:
         sys, grid = self.sys, self.grid
         n_u, n_w = len(self.controls), len(sys.scenario_sets[k])
-        n_corners = (1 << grid.dim) if self.interp == "multilinear" else 1
         n = len(self._nodes)
-        corner_idx = np.empty((n_corners, n, n_u, n_w), dtype=np.int32)
-        corner_w = np.empty((n_corners, n, n_u, n_w))
+        base = np.empty((n, n_u, n_w), dtype=np.intp)
+        corner_w = np.empty((n, n_u, n_w, len(self.offsets)))
         g_vals = np.empty((n, n_u, sys.threshold_dim))
         images = np.empty((n, n_u, n_w, grid.dim))
         for j, u in enumerate(self.controls.values):
@@ -231,12 +258,11 @@ class CompiledSystem:
             for s, w in enumerate(sys.scenario_sets[k]):
                 images[:, j, s] = self._images(k, u, w)
                 idx, wts = grid.locate(images[:, j, s], mode=self.interp)
-                corner_idx[:, :, j, s] = idx.T
-                corner_w[:, :, j, s] = wts.T
+                base[:, j, s] = idx[:, 0]
+                corner_w[:, j, s] = wts
         out_node, out_u, out_w = np.nonzero(
             ((images < grid.lower) | (images > grid.upper)).any(axis=-1))
-        return _StageArrays(corner_idx=np.ascontiguousarray(corner_idx),
-                            corner_w=np.ascontiguousarray(corner_w),
+        return _StageArrays(base=base, corner_w=corner_w, offsets=self.offsets,
                             g_vals=g_vals, out_node=out_node, out_u=out_u,
                             out_pts=images[out_node, out_u, out_w])
 
@@ -262,6 +288,18 @@ class CompiledSystem:
 
     def stage(self, k: int) -> _StageArrays:
         return self._stages[k]
+
+    def _scratch(self, n_ctrl: int) -> np.ndarray:
+        """Flat stage-kernel scratch for sweeps over ``n_ctrl`` controls per
+        row.  Each thread keeps one buffer per compiled system, grown on
+        demand and reused by every later sweep: a block this size allocated
+        per sweep is mapped fresh and faults in page by page each time, and
+        ``weak_front`` solves in several threads at once."""
+        size = self._scratch_per_control * n_ctrl
+        buf = getattr(self._local, "buf", None)
+        if buf is None or len(buf) < size:
+            buf = self._local.buf = np.empty(size)
+        return buf
 
     # threshold-dependent score construction --------------------------------
 
@@ -302,61 +340,70 @@ def compile_system(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
     return CompiledSystem(sys, grid, controls, interp)
 
 
-def _reduce_last(ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(a, axis=-1)`` over a short last axis, one slice at a
-    time in the same order: the same values at a fraction of the cost of a
-    ufunc reduction, whose set-up dominates when the axis has 2 entries."""
-    if a.shape[-1] == 1:
-        return a[..., 0].copy()
-    out = ufunc(a[..., 0], a[..., 1])
-    for i in range(2, a.shape[-1]):
-        ufunc(out, a[..., i], out=out)
-    return out
-
-
 def _slack(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """min_i (g_i - c_i) over the constraint (last) axis of g."""
-    return _reduce_last(np.minimum, g - c)
+    """min_i (g_i - c_i) over the constraint (last) axis of g, one
+    component at a time: no temporary of g's full size."""
+    out = g[..., 0] - c[0]
+    for i in range(1, g.shape[-1]):
+        np.minimum(out, g[..., i] - c[i], out=out)
+    return out
 
 
 def _clears(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     """True where every constraint component on the last axis of g is >= c."""
-    return _reduce_last(np.logical_and, g >= c)
+    out = g[..., 0] >= c[0]
+    for i in range(1, g.shape[-1]):
+        out &= g[..., i] >= c[i]
+    return out
 
 
 # -- core sweeps ------------------------------------------------------------
 
 
-def _stage_kernel(V: np.ndarray, ci: np.ndarray, cw: np.ndarray,
-                  scores: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _stage_kernel(V: np.ndarray, base: np.ndarray, cw: np.ndarray,
+                  offsets: np.ndarray, scores: np.ndarray,
+                  buf: np.ndarray) -> np.ndarray:
     """min(worst case over scenarios of the interpolated V, stage scores).
 
-    ``ci``/``cw`` hold the corner indices and weights, shape (C, ..., n_w);
-    ``scores`` has their shape without the corner and scenario axes, as
-    does the result.  Corners are accumulated in order, V[ci[0]] * cw[0]
-    + V[ci[1]] * cw[1] + ..., and the minima over the short scenario axis
-    are taken slice by slice.  NaN from any touched unpopulated node
-    propagates into the result (weights never cancel it).
+    ``base`` holds corner 0 of each cell, shape (..., n_w), and ``cw`` the
+    corner-last weights, shape (..., n_w, C); ``scores`` has the shape of
+    ``base`` without the scenario axis, as does the result.  Corner j of a
+    cell is node base + offsets[j], so row k of the stencil table
+    S[k, j] = V[k + offsets[j]] holds every corner value of a cell with
+    base k, and one row gather fetches them all.  The products are then
+    summed corner by corner, V[c0] * w0 + V[c1] * w1 + ..., and the minima
+    over the short scenario axis are taken slice by slice.  NaN from any
+    touched unpopulated node propagates into the result (weights never
+    cancel it).
 
-    ``work`` is flat scratch space of at least two corner blocks, reused
-    by every stage of a sweep: left to allocate its own blocks, each stage
-    frees megabytes at the top of the heap, which the allocator hands back
-    to the system and faults in again at the next stage.
+    ``buf`` is the flat scratch of ``CompiledSystem._scratch``: the
+    gathered block and then the result, which stays valid until the next
+    call on the same buffer.
     """
-    shape = ci.shape[1:]
-    size = scores.size * shape[-1]
-    acc = work[:size].reshape(shape)
-    # corner indices are in range by construction (``StateGrid.locate``
-    # clamps); mode "raise" would gather into a temporary copy of ``out``
-    V.take(ci[0], out=acc, mode="clip")
-    acc *= cw[0]
-    if len(ci) > 1:
-        part = work[size:2 * size].reshape(shape)
-        for j in range(1, len(ci)):
-            V.take(ci[j], out=part, mode="clip")
-            part *= cw[j]
-            acc += part
-    q = _reduce_last(np.minimum, acc)
+    size = cw.size
+    G = buf[:size].reshape(cw.shape)
+    if len(offsets) == 1:
+        S = V[:, None]
+    else:
+        n = len(V)
+        S = np.empty((n, len(offsets)))
+        for j, off in enumerate(offsets):
+            S[:n - off, j] = V[off:]
+            S[n - off:, j] = np.nan  # never read: every cell lies inside the grid
+    # bases are in range by construction; mode "raise" would gather into
+    # a temporary copy of ``out``
+    S.take(base, axis=0, out=G, mode="clip")
+    G *= cw
+    acc = G[..., 0]
+    for j in range(1, len(offsets)):
+        acc += G[..., j]
+    q = buf[size:size + scores.size].reshape(scores.shape)
+    if acc.shape[-1] == 1:
+        np.copyto(q, acc[..., 0])
+    else:
+        np.minimum(acc[..., 0], acc[..., 1], out=q)
+        for s in range(2, acc.shape[-1]):
+            np.minimum(q, acc[..., s], out=q)
     return np.minimum(q, scores, out=q)
 
 
@@ -380,8 +427,7 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
     V[rows] = terminal_score[rows]
     tables[sys.horizon + 1] = _table(sys.horizon + 1, threshold, grid, V,
                                      compiled.interp)
-    n_ctrl = len(compiled.controls) if fixed is None else 1
-    work = np.empty(2 * compiled._row_cells * n_ctrl)
+    buf = compiled._scratch(len(compiled.controls) if fixed is None else 1)
     for n in range(sys.horizon, -1, -1):
         rows, sa = reach.selectors[n], compiled.stage(n)
         if fixed is None:
@@ -391,11 +437,10 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
             # an index of -1 would silently read the last control
             if np.any(p < 0):
                 raise UnpopulatedNodeError(f"policy gap on reachable nodes at stage {n}")
-            # each row's chosen cells only, shape (C, rows, 1, n_w)
+            # each row's chosen cells only, shape (rows, 1, n_w)
             cells = (np.arange(n_nodes)[rows], p, None)
-        q = _stage_kernel(V, sa.corner_idx[(slice(None), *cells)],
-                          sa.corner_w[(slice(None), *cells)],
-                          stage_scores[n][cells], work)
+        q = _stage_kernel(V, sa.base[cells], sa.corner_w[cells], sa.offsets,
+                          stage_scores[n][cells], buf)
         vals = q.max(axis=-1)
         if np.isnan(vals).any():
             raise UnpopulatedNodeError(

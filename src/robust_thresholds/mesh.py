@@ -96,6 +96,15 @@ class StateGrid:
     def clamp(self, points: np.ndarray) -> np.ndarray:
         return np.clip(points, self.lower, self.upper)
 
+    def corner_offsets(self, mode: str = "multilinear") -> np.ndarray:
+        """Flat-index offsets of the corners ``locate`` returns, relative to
+        corner 0 of the cell: (2**dim,) in multilinear mode, (1,) zeros in
+        nearest mode."""
+        if mode == "nearest":
+            return np.zeros(1, dtype=np.intp)
+        bits = np.array(list(itertools.product((0, 1), repeat=self.dim)))
+        return np.ravel_multi_index(tuple(bits.T), tuple(self.counts)).astype(np.intp)
+
     def locate(self, points: np.ndarray, mode: str = "multilinear"):
         """Corner node indices and weights for a batch of query points.
 
@@ -112,14 +121,14 @@ class StateGrid:
             near = np.minimum(np.floor(t + 0.5).astype(np.int64), self.counts - 1)
             flat = np.ravel_multi_index(tuple(near.T), tuple(self.counts))
             return flat.reshape(-1, 1), np.ones((len(pts), 1))
+        # lo <= counts - 2 keeps every cell inside the grid, so corner j
+        # is corner 0 plus the fixed offset of ``corner_offsets``
         lo = np.minimum(np.floor(t).astype(np.int64), self.counts - 2)
         frac = t - lo
-        n_corners = 1 << self.dim
-        idx = np.empty((len(pts), n_corners), dtype=np.int64)
-        wts = np.empty((len(pts), n_corners))
+        base = np.ravel_multi_index(tuple(lo.T), tuple(self.counts))
+        idx = base[:, None] + self.corner_offsets(mode)
+        wts = np.empty(idx.shape)
         for j, bits in enumerate(itertools.product((0, 1), repeat=self.dim)):
-            corner = lo + np.asarray(bits, dtype=np.int64)
-            idx[:, j] = np.ravel_multi_index(tuple(corner.T), tuple(self.counts))
             w = np.ones(len(pts))
             for d, b in enumerate(bits):
                 w = w * (frac[:, d] if b else 1.0 - frac[:, d])
@@ -275,10 +284,11 @@ def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: Control
     """Forward pass marking every node any stage-n interpolation can touch.
 
     ``compiled`` is the ``dp.CompiledSystem`` of (sys, grid, controls); its
-    corner indices are the one-step images, and its interpolation mode
-    decides the corners of xi.  Stage 0 holds the corners of the cell
-    covering xi; stage n+1 collects the corners of every cell touched by a
-    one-step image of a stage-n node under any (control, scenario) pair.
+    cell bases and corner offsets give the corners of the one-step images,
+    and its interpolation mode decides the corners of xi.  Stage 0 holds
+    the corners of the cell covering xi; stage n+1 collects the corners of
+    every cell touched by a one-step image of a stage-n node under any
+    (control, scenario) pair.
     The result over-approximates the exact reachable tube by whole cells,
     which is cheap and keeps every later interpolation query inside
     populated territory.
@@ -289,8 +299,13 @@ def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: Control
     masks = np.zeros((sys.horizon + 2, grid.n_nodes), dtype=bool)
     idx0, _ = grid.locate(np.atleast_2d(np.asarray(xi, dtype=float)), mode=compiled.interp)
     masks[0, idx0] = True
+    offsets = compiled.offsets
     for n in range(sys.horizon + 1):
-        masks[n + 1, compiled.stage(n).corner_idx[:, masks[n]]] = True
+        # mark corner 0 of every touched cell, then each corner is a shift
+        hit = np.zeros(grid.n_nodes, dtype=bool)
+        hit[compiled.stage(n).base[_row_selector(masks[n])]] = True
+        for off in offsets:
+            masks[n + 1, off:] |= hit[:grid.n_nodes - off]
     return ReachableSets(grid=grid, masks=masks)
 
 

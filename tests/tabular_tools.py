@@ -138,12 +138,12 @@ def tree_policy_threshold(inst: TabularInstance, policy: rt.FeedbackPolicy) -> n
 PLANE_XI = (2.2, 1.7)
 
 
-def plane_problem():
+def plane_problem(counts=(9, 9)):
     """(sys, grid, controls, compiled, reach) of a 2-D time-varying system
-    with 3 scenarios and 3 constraint components on a 9x9 grid with 5
-    controls, reachable from ``PLANE_XI``: the 4-corner gather, the
-    index-array rows and the longer slice loops, with images leaving the
-    grid box on both sides."""
+    with 3 scenarios and 3 constraint components on a 9x9 grid (or
+    ``counts``) with 5 controls, reachable from ``PLANE_XI``: the 4-corner
+    gather, the index-array rows and the longer slice loops, with images
+    leaving the grid box on both sides."""
     shifts = ((0.3, -0.2), (-0.1, 0.4), (0.0, 0.0))
     sys = rt.SystemSpec(
         horizon=2, state_dim=2, threshold_dim=3,
@@ -153,8 +153,42 @@ def plane_problem():
         control_space=rt.IntervalControlSpace(-0.5, 0.5),
         scenario_sets=(shifts,) * 3,
     )
-    grid = rt.StateGrid(lower=[0.0, 0.0], upper=[4.0, 4.0], counts=[9, 9])
+    grid = rt.StateGrid(lower=[0.0, 0.0], upper=[4.0, 4.0], counts=list(counts))
     controls = rt.ControlMesh.uniform(-0.5, 0.5, 5)
     compiled = rt.compile_system(sys, grid, controls)
     reach = rt.build_reachable_sets(PLANE_XI, grid, sys, controls, compiled=compiled)
     return sys, grid, controls, compiled, reach
+
+
+def product_problem(rng: np.random.Generator, *, max_states: int = 4,
+                    n_controls: int = 3, horizon: int = 2):
+    """(sys, grid, controls, compiled, reach, xi) of a 2-D node-to-node
+    system compiled with nearest-node interpolation: each coordinate moves
+    by its own random transition table under a shared control and
+    scenario, and the constraints are random per (node, control)."""
+    na, nb = (int(v) for v in rng.integers(2, max_states + 1, size=2))
+    ta = rng.integers(0, na, size=(na, n_controls, 2))
+    tb = rng.integers(0, nb, size=(nb, n_controls, 2))
+    g = rng.uniform(-5, 5, size=(na, nb, n_controls, 2))
+    theta = rng.uniform(-5, 5, size=(na, nb, 2))
+
+    def node(x):
+        return int(round(x[0])), int(round(x[1]))
+
+    def dynamics(k, x, u, w):
+        a, b = node(x)
+        return np.array([ta[a, u, w], tb[b, u, w]], dtype=float)
+
+    sys = rt.SystemSpec(
+        horizon=horizon, state_dim=2, threshold_dim=2, dynamics=dynamics,
+        stage_constraints=lambda k, x, u: g[node(x) + (u,)],
+        terminal_constraint=lambda x: theta[node(x)],
+        control_space=rt.FiniteControlSpace(tuple(range(n_controls))),
+        scenario_sets=((0, 1),) * (horizon + 1), time_invariant=True,
+    )
+    grid = rt.StateGrid(lower=[0.0, 0.0], upper=[na - 1.0, nb - 1.0], counts=[na, nb])
+    controls = rt.ControlMesh(tuple(range(n_controls)))
+    compiled = rt.compile_system(sys, grid, controls, interp="nearest")
+    xi = (float(rng.integers(0, na)), float(rng.integers(0, nb)))
+    reach = rt.build_reachable_sets(xi, grid, sys, controls, compiled=compiled)
+    return sys, grid, controls, compiled, reach, xi

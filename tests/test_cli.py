@@ -171,6 +171,22 @@ class TestCommands:
         text = capsys.readouterr().out
         assert "information gap" in text
 
+    @pytest.mark.parametrize("command", ["membership", "oracle-check"])
+    def test_oracle_disagreement_is_exit_code_1(self, tmp_path, capsys, monkeypatch,
+                                                command):
+        cfgp = write_config(tmp_path, TABULAR_SMALL)
+        argv = [command, "--config", str(cfgp), "--threshold", "0.5,0.5"]
+        if command == "membership":
+            argv.append("--oracle")
+        assert cli.main(argv) == 0
+        solve = cli.dp.solve_value
+        monkeypatch.setattr(cli.dp, "solve_value",
+                            lambda *a, **k: solve(*a, **k) + 1e-9)
+        assert cli.main(argv) == 1
+        assert "differs from the closed-loop oracle" in capsys.readouterr().out
+        # only nearest-node solves are held to the oracle
+        assert cli.main(argv + ["--interp", "multilinear"]) == 0
+
     def test_analytic_fishery_command(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, FISHERY_SMALL)
         assert cli.main(["analytic-fishery", "--config", str(cfgp)]) == 0

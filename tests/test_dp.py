@@ -1,3 +1,7 @@
+import sys as sys_module
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +11,7 @@ from robust_thresholds import dp, oracle
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
 from robust_thresholds.mesh import UnpopulatedNodeError, full_grid_sets
 
-from tabular_tools import plane_problem, random_instance, solve_w
+from tabular_tools import plane_problem, product_problem, random_instance, solve_w
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +188,8 @@ def _reference_sweep(compiled, reach, stage_scores, terminal_score):
     choices = np.full((horizon + 1, n_nodes), -1, dtype=np.int32)
     for n in range(horizon, -1, -1):
         rows, sa = _rows(reach, n, n_nodes), compiled.stage(n)
-        q = _reference_stage(V, sa.corner_idx[:, rows], sa.corner_w[:, rows],
+        cw = np.moveaxis(sa.corner_w, -1, 0)
+        q = _reference_stage(V, sa.corner_idx[:, rows], cw[:, rows],
                              stage_scores[n][rows])
         V = np.full(n_nodes, np.nan)
         V[rows] = q.max(axis=-1)
@@ -203,7 +208,8 @@ def _reference_policy_sweep(compiled, reach, choices, stage_scores, terminal_sco
     for n in range(horizon, -1, -1):
         rows, sa = _rows(reach, n, n_nodes), compiled.stage(n)
         p = choices[n, rows]
-        q = _reference_stage(V, sa.corner_idx[:, rows, p], sa.corner_w[:, rows, p],
+        cw = np.moveaxis(sa.corner_w, -1, 0)
+        q = _reference_stage(V, sa.corner_idx[:, rows, p], cw[:, rows, p],
                              stage_scores[n][rows, p])
         V = np.full(n_nodes, np.nan)
         V[rows] = q
@@ -264,6 +270,125 @@ class TestStageKernelPinned:
             for c in ([1.0, 0.5, -0.3], [0.0, 0.0, 0.0]):
                 for scores, terminal in self.all_scores(compiled, c):
                     self.assert_pinned(compiled, r, scores, terminal)
+
+    @pytest.mark.parametrize("counts", [(2,), (2, 2)])
+    def test_two_node_grids(self, counts):
+        # the smallest grids, where base + offsets[-1] is the last node
+        if len(counts) == 1:
+            sys = build_fishery_system(FisheryParams.default(), horizon=3)
+            grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=counts)
+            controls = rt.ControlMesh.uniform(0.0, 40.0, 5)
+            compiled = rt.compile_system(sys, grid, controls)
+            reach = rt.build_reachable_sets(60.0, grid, sys, controls, compiled=compiled)
+            thresholds = ([10.0, 5.0], [0.0, 0.0], [30.0, 7.0])
+        else:
+            sys, grid, controls, compiled, reach = plane_problem(counts)
+            thresholds = ([1.0, 0.5, -0.3], [0.0, 0.0, 0.0])
+        nodes = grid.node_coordinates()
+        for k in range(sys.horizon + 1):
+            sa = compiled.stage(k)
+            assert sa.base.max() + sa.offsets[-1] == grid.n_nodes - 1
+            # base, offsets and weights give the corners of StateGrid.locate
+            for j, u in enumerate(controls.values):
+                for s, w in enumerate(sys.scenario_sets[k]):
+                    images = [sys.step(k, x[0] if grid.dim == 1 else x, u, w)
+                              for x in nodes]
+                    idx, wts = grid.locate(np.asarray(images, dtype=float))
+                    assert np.array_equal(sa.corner_idx[:, :, j, s], idx.T)
+                    assert np.array_equal(sa.corner_w[:, j, s], wts)
+        for r in (reach, full_grid_sets(grid, sys.horizon)):
+            for c in thresholds:
+                for scores, terminal in self.all_scores(compiled, c):
+                    self.assert_pinned(compiled, r, scores, terminal)
+
+
+class TestProductSystem:
+    """A 2-D node-to-node system under nearest-node interpolation: the
+    one-corner gather on a 2-D grid, with no discretization error."""
+
+    def test_matches_closed_loop_oracle_exactly(self):
+        rng = np.random.default_rng(23)
+        for _ in range(8):
+            sys, grid, controls, compiled, reach, xi = product_problem(rng)
+            assert compiled.stage(0).corner_w.shape[-1] == 1
+            full = full_grid_sets(grid, sys.horizon)
+            for c in rng.uniform(-6, 6, size=(4, 2)):
+                w = rt.solve_value(xi, c, sys, grid, controls, compiled=compiled,
+                                   reach=reach)
+                assert w - oracle.closedloop_maximin(xi, c, sys, controls) == 0.0
+                assert rt.solve_value(xi, c, sys, grid, controls, compiled=compiled,
+                                      reach=full) == w
+                TestStageKernelPinned.assert_pinned(compiled, reach,
+                                                    *compiled.slack_scores(c))
+
+
+class TestKernelScratch:
+    """The stage kernel's scratch is kept per thread and compiled system;
+    reusing or growing it never changes a table."""
+
+    @staticmethod
+    def fishery():
+        sys = build_fishery_system(FisheryParams.default(), horizon=8)
+        grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[121])
+        controls = rt.ControlMesh.uniform(0.0, 40.0, 41)
+        compiled = rt.compile_system(sys, grid, controls)
+        reach = rt.build_reachable_sets(60.0, grid, sys, controls, compiled=compiled)
+        return sys, grid, controls, compiled, reach
+
+    def test_policy_sweep_then_w_sweep_grows_the_buffer(self):
+        sys, grid, controls, ref, reach = self.fishery()
+        scores, terminal = ref.slack_scores(np.asarray([10.0, 5.0]))
+        want, policy = dp.sweep_scores(ref, reach, scores, terminal)
+        want_replay = dp.sweep_policy(ref, reach, policy, scores, terminal)
+        compiled = rt.compile_system(sys, grid, controls)
+        replay = dp.sweep_policy(compiled, reach, policy, scores, terminal)
+        small = compiled._local.buf
+        got, got_policy = dp.sweep_scores(compiled, reach, scores, terminal)
+        grown = compiled._local.buf
+        assert len(grown) > len(small)
+        again = dp.sweep_policy(compiled, reach, policy, scores, terminal)
+        assert compiled._local.buf is grown
+        assert np.array_equal(got_policy.choices, policy.choices)
+        for tables, ref_tables in ((got, want), (replay, want_replay),
+                                   (again, want_replay)):
+            for t, r in zip(tables, ref_tables):
+                assert np.array_equal(t.values, r.values, equal_nan=True)
+
+    def test_threads_on_one_compiled_system(self):
+        # more threads than cores, switching often: a buffer shared between
+        # threads would mix their stages
+        sys, grid, controls, compiled, reach = self.fishery()
+        thresholds = [np.asarray([a, b]) for a in (0.0, 10.0, 25.0, 40.0)
+                      for b in (1.0, 6.0)]
+        serial_compiled = rt.compile_system(sys, grid, controls)
+        want = [rt.backward_recursion(sys, grid, controls, reach, c,
+                                      compiled=serial_compiled) for c in thresholds]
+        n_threads = 4
+        barrier = threading.Barrier(n_threads, timeout=60)
+
+        def solve_all(cs):
+            barrier.wait()
+            out = [rt.backward_recursion(sys, grid, controls, reach, c,
+                                         compiled=compiled) for c in cs]
+            return out, compiled._local.buf
+
+        interval = sys_module.getswitchinterval()
+        sys_module.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=n_threads) as ex:
+                parts = list(ex.map(solve_all, (thresholds[i::n_threads]
+                                                for i in range(n_threads)),
+                                    timeout=120))
+        finally:
+            sys_module.setswitchinterval(interval)
+        assert len({id(buf) for _, buf in parts}) == n_threads
+        got = [None] * len(thresholds)
+        for i, (out, _) in enumerate(parts):
+            got[i::n_threads] = out
+        for (tables, policy), (ref_tables, ref_policy) in zip(got, want):
+            assert np.array_equal(policy.choices, ref_policy.choices)
+            for t, r in zip(tables, ref_tables):
+                assert np.array_equal(t.values, r.values, equal_nan=True)
 
 
 class TestThresholdTranslation:
