@@ -48,8 +48,8 @@ values and gathers whole rows of it with one ``take`` on ``base``.  The
 interpolation weights are stored corner-last, so the gathered block is
 weighted in one contiguous pass; the corners are then summed in place in
 corner order, which gives the products and sums of a corner-by-corner
-accumulation.  Under nearest-node interpolation there is one corner and
-the gather reads V directly.  The kernel then takes the minimum over
+accumulation.  Under nearest-node interpolation there is one corner, of
+weight exactly 1, so the gather reads V directly and skips the product.  The kernel then takes the minimum over
 scenarios and with the stage score.  The scenario axis, like the
 constraint axis of the score builders, is short (two entries on the
 fishery), so every minimum over it is taken slice by slice with
@@ -374,29 +374,32 @@ def _stage_kernel(V: np.ndarray, base: np.ndarray, cw: np.ndarray,
     summed corner by corner, V[c0] * w0 + V[c1] * w1 + ..., and the minima
     over the short scenario axis are taken slice by slice.  NaN from any
     touched unpopulated node propagates into the result (weights never
-    cancel it).
+    cancel it).  With one corner (nearest node) the weight is exactly 1,
+    and the gather from V is the interpolated value.
 
     ``buf`` is the flat scratch of ``CompiledSystem._scratch``: the
     gathered block and then the result, which stays valid until the next
     call on the same buffer.
     """
     size = cw.size
-    G = buf[:size].reshape(cw.shape)
+    # bases are in range by construction; mode "raise" would gather into
+    # a temporary copy of ``out``
     if len(offsets) == 1:
-        S = V[:, None]
+        # nearest node: one corner, of weight exactly 1
+        acc = buf[:size].reshape(base.shape)
+        V.take(base, out=acc, mode="clip")
     else:
         n = len(V)
         S = np.empty((n, len(offsets)))
         for j, off in enumerate(offsets):
             S[:n - off, j] = V[off:]
             S[n - off:, j] = np.nan  # never read: every cell lies inside the grid
-    # bases are in range by construction; mode "raise" would gather into
-    # a temporary copy of ``out``
-    S.take(base, axis=0, out=G, mode="clip")
-    G *= cw
-    acc = G[..., 0]
-    for j in range(1, len(offsets)):
-        acc += G[..., j]
+        G = buf[:size].reshape(cw.shape)
+        S.take(base, axis=0, out=G, mode="clip")
+        G *= cw
+        acc = G[..., 0]
+        for j in range(1, len(offsets)):
+            acc += G[..., j]
     q = buf[size:size + scores.size].reshape(scores.shape)
     if acc.shape[-1] == 1:
         np.copyto(q, acc[..., 0])

@@ -299,13 +299,15 @@ def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: Control
     masks = np.zeros((sys.horizon + 2, grid.n_nodes), dtype=bool)
     idx0, _ = grid.locate(np.atleast_2d(np.asarray(xi, dtype=float)), mode=compiled.interp)
     masks[0, idx0] = True
-    offsets = compiled.offsets
+    offsets = compiled.offsets[1:]  # corner 0 is offset 0
     for n in range(sys.horizon + 1):
-        # mark corner 0 of every touched cell, then each corner is a shift
-        hit = np.zeros(grid.n_nodes, dtype=bool)
-        hit[compiled.stage(n).base[_row_selector(masks[n])]] = True
-        for off in offsets:
-            masks[n + 1, off:] |= hit[:grid.n_nodes - off]
+        # mark corner 0 of every touched cell; every other corner is a
+        # shift of those marks
+        masks[n + 1, compiled.stage(n).base[_row_selector(masks[n])]] = True
+        if len(offsets):
+            hit = masks[n + 1].copy()
+            for off in offsets:
+                masks[n + 1, off:] |= hit[:grid.n_nodes - off]
     return ReachableSets(grid=grid, masks=masks)
 
 
