@@ -62,7 +62,8 @@ The gathered block and the per-stage result live in one scratch buffer
 per thread and compiled system (``CompiledSystem._scratch``), kept across
 sweeps: ``weak_front`` may solve in several threads on one compiled
 system, and a fresh block per sweep faults in megabytes of new pages on
-every solve.
+every solve.  The slack scores, built before a sweep, take their
+per-component differences through the same buffer.
 
 Everything here is deterministic: control ties resolve to the lowest mesh
 index, so repeated runs reproduce tables bitwise.
@@ -319,7 +320,10 @@ class CompiledSystem:
 
     def slack_scores(self, c: np.ndarray):
         """Per-stage (n_nodes, n_u) and terminal arrays of min_i (g_i - c_i)."""
-        return self._scores(lambda g: _slack(g, c))
+        # no sweep runs while scores are built, so the differences can go
+        # through this thread's kernel scratch
+        buf = self._scratch(len(self.controls))
+        return self._scores(lambda g: _slack(g, c, buf))
 
     def masked_component_scores(self, c: np.ndarray, comp: int):
         """Scores for the component-`comp` constrained maximin problem.
@@ -340,12 +344,14 @@ def compile_system(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
     return CompiledSystem(sys, grid, controls, interp)
 
 
-def _slack(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _slack(g: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """min_i (g_i - c_i) over the constraint (last) axis of g, one
-    component at a time: no temporary of g's full size."""
+    component at a time, each difference taken into the flat scratch
+    ``buf``: no temporary of g's size, nor of one component's."""
     out = g[..., 0] - c[0]
+    diff = buf[:out.size].reshape(out.shape)
     for i in range(1, g.shape[-1]):
-        np.minimum(out, g[..., i] - c[i], out=out)
+        np.minimum(out, np.subtract(g[..., i], c[i], out=diff), out=out)
     return out
 
 

@@ -288,10 +288,9 @@ def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: Control
     and its interpolation mode decides the corners of xi.  Stage 0 holds
     the corners of the cell covering xi; stage n+1 collects the corners of
     every cell touched by a one-step image of a stage-n node under any
-    (control, scenario) pair.
-    The result over-approximates the exact reachable tube by whole cells,
-    which is cheap and keeps every later interpolation query inside
-    populated territory.
+    (control, scenario) pair.  The result over-approximates the exact
+    reachable tube by whole cells, which is cheap and keeps every later
+    interpolation query inside populated territory.
     """
     _require_compiled_from(compiled, sys, grid, controls)
     if not grid.contains(xi):
