@@ -145,12 +145,9 @@ def terminal_slack(sys: SystemSpec, x, c) -> float:
 
 @dataclass
 class _StageArrays:
-    # Corner j of the cell an image falls in is node base + offsets[j]
-    # (``StateGrid.corner_offsets``), so one intp base per cell stands for
-    # all 2**dim corner indices.  The stage kernel gathers whole rows of a
-    # stencil table with it.  The weights are corner-last, so the gathered
-    # rows are weighted in one contiguous pass; scenarios come before them,
-    # and the kernel reduces over scenarios slice by slice.
+    # corner j of the cell an image falls in is node base + offsets[j]
+    # (``StateGrid.corner_offsets``); weights are corner-last, so the
+    # kernel weights its gathered stencil rows in one contiguous pass
     base: np.ndarray        # (n_nodes, n_u, n_w) intp
     corner_w: np.ndarray    # (n_nodes, n_u, n_w, C) float64
     offsets: np.ndarray     # (C,) intp, shared by every stage
@@ -371,27 +368,21 @@ def _stage_kernel(V: np.ndarray, base: np.ndarray, cw: np.ndarray,
                   buf: np.ndarray) -> np.ndarray:
     """min(worst case over scenarios of the interpolated V, stage scores).
 
-    ``base`` holds corner 0 of each cell, shape (..., n_w), and ``cw`` the
-    corner-last weights, shape (..., n_w, C); ``scores`` has the shape of
-    ``base`` without the scenario axis, as does the result.  Corner j of a
-    cell is node base + offsets[j], so row k of the stencil table
-    S[k, j] = V[k + offsets[j]] holds every corner value of a cell with
-    base k, and one row gather fetches them all.  The products are then
-    summed corner by corner, V[c0] * w0 + V[c1] * w1 + ..., and the minima
-    over the short scenario axis are taken slice by slice.  NaN from any
-    touched unpopulated node propagates into the result (weights never
-    cancel it).  With one corner (nearest node) the weight is exactly 1,
-    and the gather from V is the interpolated value.
-
-    ``buf`` is the flat scratch of ``CompiledSystem._scratch``: the
-    gathered block and then the result, which stays valid until the next
-    call on the same buffer.
+    ``base`` (..., n_w) holds corner 0 of each cell and ``cw`` (..., n_w, C)
+    the corner-last weights; ``scores`` and the result have the shape of
+    ``base`` without the scenario axis.  Rows of the stencil
+    S[k, j] = V[k + offsets[j]] are gathered at ``base``, weighted and
+    summed corner by corner, V[c0] * w0 + V[c1] * w1 + ...; a single corner
+    (nearest node) has weight exactly 1 and is read from V as it is.  The
+    minima over the short scenario axis are taken slice by slice.  NaN from
+    any touched unpopulated node propagates into the result (weights never
+    cancel it).  ``buf`` is the flat scratch of ``CompiledSystem._scratch``;
+    the result lives in it until the next call on the same buffer.
     """
     size = cw.size
     # bases are in range by construction; mode "raise" would gather into
     # a temporary copy of ``out``
     if len(offsets) == 1:
-        # nearest node: one corner, of weight exactly 1
         acc = buf[:size].reshape(base.shape)
         V.take(base, out=acc, mode="clip")
     else:
