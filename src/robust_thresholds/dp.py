@@ -363,23 +363,24 @@ def _clears(g: np.ndarray, c: np.ndarray) -> np.ndarray:
 # -- core sweeps ------------------------------------------------------------
 
 
-def _stage_kernel(V: np.ndarray, base: np.ndarray, cw: np.ndarray,
+def _stage_kernel(V: np.ndarray, base: np.ndarray, cw: np.ndarray | None,
                   offsets: np.ndarray, scores: np.ndarray,
                   buf: np.ndarray) -> np.ndarray:
     """min(worst case over scenarios of the interpolated V, stage scores).
 
     ``base`` (..., n_w) holds corner 0 of each cell and ``cw`` (..., n_w, C)
-    the corner-last weights; ``scores`` and the result have the shape of
-    ``base`` without the scenario axis.  Rows of the stencil
-    S[k, j] = V[k + offsets[j]] are gathered at ``base``, weighted and
-    summed corner by corner, V[c0] * w0 + V[c1] * w1 + ...; a single corner
-    (nearest node) has weight exactly 1 and is read from V as it is.  The
-    minima over the short scenario axis are taken slice by slice.  NaN from
-    any touched unpopulated node propagates into the result (weights never
-    cancel it).  ``buf`` is the flat scratch of ``CompiledSystem._scratch``;
-    the result lives in it until the next call on the same buffer.
+    the corner-last weights (None for a single corner); ``scores`` and the
+    result have the shape of ``base`` without the scenario axis.  Rows of
+    the stencil S[k, j] = V[k + offsets[j]] are gathered at ``base``,
+    weighted and summed corner by corner, V[c0] * w0 + V[c1] * w1 + ...;
+    a single corner (nearest node) has weight exactly 1 and is read from V
+    as it is.  The minima over the short scenario axis are taken slice by
+    slice.  NaN from any touched unpopulated node propagates into the
+    result (weights never cancel it).  ``buf`` is the flat scratch of
+    ``CompiledSystem._scratch``; the result lives in it until the next call
+    on the same buffer.
     """
-    size = cw.size
+    size = base.size * len(offsets)
     # bases are in range by construction; mode "raise" would gather into
     # a temporary copy of ``out``
     if len(offsets) == 1:
@@ -439,7 +440,9 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
                 raise UnpopulatedNodeError(f"policy gap on reachable nodes at stage {n}")
             # each row's chosen cells only, shape (rows, 1, n_w)
             cells = (np.arange(n_nodes)[rows], p, None)
-        q = _stage_kernel(V, sa.base[cells], sa.corner_w[cells], sa.offsets,
+        # a single corner has weight 1 and the kernel never reads it
+        cw = sa.corner_w[cells] if len(sa.offsets) > 1 else None
+        q = _stage_kernel(V, sa.base[cells], cw, sa.offsets,
                           stage_scores[n][cells], buf)
         vals = q.max(axis=-1)
         if np.isnan(vals).any():

@@ -271,40 +271,63 @@ class TabularParams:
 
 def _node_index(coords: np.ndarray, x):
     """Index of the node at (or nearest above) x; exact for on-node states."""
-    return np.clip(np.searchsorted(coords, np.asarray(x, dtype=float) - 1e-9),
-                   0, len(coords) - 1)
+    # searchsorted never returns a negative index, so only the top is capped
+    return np.minimum(np.searchsorted(coords, np.asarray(x, dtype=float) - 1e-9),
+                      len(coords) - 1)
+
+
+class _NodeLookup:
+    """``_node_index`` of one tabular system's node coordinates.
+
+    A node coordinate, the state every transition lands on, is a dict hit
+    whose index ``_node_index`` computed once, so the hit is exact by
+    construction.  Anything else (an off-node or NaN state, or a batch of
+    states, which is unhashable) takes ``_node_index`` itself.
+    """
+
+    def __init__(self, coords: np.ndarray):
+        self.coords = coords
+        self.index = dict(zip(coords.tolist(), _node_index(coords, coords).tolist()))
+
+    def __call__(self, x):
+        try:
+            i = self.index.get(x)
+        except TypeError:
+            i = None
+        return _node_index(self.coords, x) if i is None else i
 
 
 class _TabularDynamics:
     """Picklable transition lookup for TabularParams."""
 
-    def __init__(self, params: TabularParams):
+    def __init__(self, params: TabularParams, node: _NodeLookup):
         self.params = params
+        self.node = node
 
     def __call__(self, k, x, u, w):
         p = self.params
-        idx = _node_index(p.node_coords, x)
         table = p.transitions if p.transitions.ndim == 3 else p.transitions[k]
-        return p.node_coords[table[idx, int(u), int(w)]]
+        return p.node_coords[table[self.node(x), int(u), int(w)]]
 
 
 class _TabularStageConstraint:
-    def __init__(self, params: TabularParams):
+    def __init__(self, params: TabularParams, node: _NodeLookup):
         self.params = params
+        self.node = node
 
     def __call__(self, k, x, u):
         p = self.params
-        idx = _node_index(p.node_coords, x)
         table = p.stage_values if p.stage_values.ndim == 3 else p.stage_values[k]
-        return table[idx, int(u)]
+        return table[self.node(x), int(u)]
 
 
 class _TabularTerminal:
-    def __init__(self, params: TabularParams):
+    def __init__(self, params: TabularParams, node: _NodeLookup):
         self.params = params
+        self.node = node
 
     def __call__(self, x):
-        return self.params.terminal_values[_node_index(self.params.node_coords, x)]
+        return self.params.terminal_values[self.node(x)]
 
 
 def build_tabular_system(params: TabularParams, horizon: int) -> SystemSpec:
@@ -316,13 +339,14 @@ def build_tabular_system(params: TabularParams, horizon: int) -> SystemSpec:
     time_invariant = params.transitions.ndim == 3 and params.stage_values.ndim == 3
     m = params.terminal_values.shape[1]
     scen = tuple(range(params.n_scenarios))
+    node = _NodeLookup(params.node_coords)  # one dict shared by the three callables
     return SystemSpec(
         horizon=horizon,
         state_dim=1,
         threshold_dim=m,
-        dynamics=_TabularDynamics(params),
-        stage_constraints=_TabularStageConstraint(params),
-        terminal_constraint=_TabularTerminal(params),
+        dynamics=_TabularDynamics(params, node),
+        stage_constraints=_TabularStageConstraint(params, node),
+        terminal_constraint=_TabularTerminal(params, node),
         control_space=FiniteControlSpace(tuple(range(params.n_controls))),
         scenario_sets=tuple(scen for _ in range(horizon + 1)),
         time_invariant=time_invariant,

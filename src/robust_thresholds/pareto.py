@@ -179,13 +179,6 @@ class ConstrainedValue:
     feasible: bool
     policy: dp.FeedbackPolicy
 
-    def require_feasible(self, c) -> None:
-        if not self.feasible:
-            raise InfeasibleThresholdError(
-                f"threshold {np.asarray(c).tolist()} is infeasible for the "
-                f"component-{self.component} constrained problem at this "
-                f"discretization (value {self.value:.6g})")
-
 
 def constrained_maximin_value(xi, component: int, c, sys: SystemSpec,
                               grid: StateGrid, controls: ControlMesh, *,

@@ -8,11 +8,13 @@ against plain recursive enumeration.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 import robust_thresholds as rt
+from robust_thresholds.model import as_threshold
 
 
 @dataclass
@@ -133,6 +135,35 @@ def tree_policy_threshold(inst: TabularInstance, policy: rt.FeedbackPolicy) -> n
     start = int(np.searchsorted(p.node_coords, inst.xi))
     return np.asarray([comp_value(0, start, j) for j in range(m)])
 
+
+def product_openloop_maximin(xi, c, sys: rt.SystemSpec, controls: rt.ControlMesh) -> float:
+    """Reference open-loop value: every control path against every scenario
+    path, each pair simulated from xi on its own."""
+    cv = as_threshold(c, sys.threshold_dim)
+    n_stages = sys.horizon + 1
+    best = -np.inf
+    for upath in itertools.product(controls.values, repeat=n_stages):
+        worst = np.inf
+        for wpath in itertools.product(*sys.scenario_sets):
+            traj = rt.simulate(sys, xi, upath, wpath)
+            r = min(min(np.min(sys.stage_constraint(k, traj[k], upath[k]) - cv)
+                        for k in range(n_stages)),
+                    np.min(sys.terminal(traj[-1]) - cv))
+            worst = min(worst, float(r))
+            if worst <= best:
+                break  # this control path already lost
+        best = max(best, worst)
+    return best
+
+
+def product_exhaustive_membership(xi, c, sys: rt.SystemSpec,
+                                  controls: rt.ControlMesh) -> bool:
+    """Reference open-loop membership: some control path passes
+    ``check_admissible`` against every scenario path."""
+    n_stages = sys.horizon + 1
+    return any(all(rt.check_admissible(sys, xi, upath, wpath, c)
+                   for wpath in itertools.product(*sys.scenario_sets))
+               for upath in itertools.product(controls.values, repeat=n_stages))
 
 
 PLANE_XI = (2.2, 1.7)

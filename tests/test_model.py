@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import robust_thresholds as rt
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
-from robust_thresholds.model import IntervalControlSpace, as_threshold
+from robust_thresholds.model import (IntervalControlSpace, _node_index, _NodeLookup,
+                                     as_threshold)
 
 
 @pytest.fixture
@@ -167,6 +168,36 @@ class TestTabular:
         )
         sys = rt.build_tabular_system(params, horizon=1)
         assert not sys.time_invariant
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coords=st.lists(st.floats(-50, 50, allow_nan=False), min_size=1,
+                        max_size=12, unique=True).map(sorted),
+        data=st.data(),
+    )
+    def test_node_lookup_equals_searchsorted(self, coords, data):
+        coords = np.asarray(coords, dtype=float)
+        lookup = _NodeLookup(coords)
+        node = st.sampled_from(coords.tolist())
+        outside = st.one_of(st.floats(-1e3, coords[0], exclude_max=True),
+                            st.floats(coords[-1], 1e3, exclude_min=True))
+        one = st.one_of(
+            node, node.map(np.float64), node.map(lambda v: v + 1e-10),
+            node.map(lambda v: v - 1e-10), outside, st.just(float("nan")))
+        x = data.draw(st.one_of(one, st.lists(one, min_size=1, max_size=5).map(
+            lambda v: np.asarray(v, dtype=float))))
+        assert np.array_equal(lookup(x), _node_index(coords, x))
+
+    def test_callables_share_one_node_lookup(self):
+        params = rt.TabularParams(
+            node_coords=np.arange(3.0),
+            transitions=np.zeros((3, 2, 2), dtype=int),
+            stage_values=np.zeros((3, 2, 2)),
+            terminal_values=np.zeros((3, 2)),
+        )
+        sys = rt.build_tabular_system(params, horizon=1)
+        assert (sys.dynamics.node is sys.stage_constraints.node
+                is sys.terminal_constraint.node)
 
 
 class TestSpecValidation:

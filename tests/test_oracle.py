@@ -5,7 +5,8 @@ import robust_thresholds as rt
 from robust_thresholds import oracle
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
 
-from tabular_tools import random_instance
+from tabular_tools import (product_exhaustive_membership, product_openloop_maximin,
+                           product_problem, random_instance)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,27 @@ class TestClosedLoop:
                    float(np.min(sys.terminal(traj[-1]) - c)))
         assert oracle.closedloop_maximin(40.0, c, sys, controls) == pytest.approx(
             want, abs=1e-12)
+
+    def test_expansions_on_tabular_systems_pinned(self):
+        # one expansion per (stage, state) node the memo has not seen; the
+        # total moves if the memo key merges or splits subtrees
+        rng = np.random.default_rng(21)
+        used = 0
+        for i in range(12):
+            inst = random_instance(rng, integer_values=bool(i % 2))
+            for c in rng.uniform(-6, 6, size=(8, 2)):
+                budget = oracle.OracleBudget()
+                oracle.closedloop_maximin(inst.xi, c, inst.sys, inst.controls,
+                                          budget=budget)
+                used += budget.used
+        rng = np.random.default_rng(22)
+        for _ in range(4):
+            sys, _, controls, _, _, xi = product_problem(rng)
+            for c in rng.uniform(-6, 6, size=(4, 2)):
+                budget = oracle.OracleBudget()
+                oracle.closedloop_maximin(xi, c, sys, controls, budget=budget)
+                used += budget.used
+        assert used == 2168
 
     def test_budget_exceeded_raises(self, tiny_fishery):
         sys, controls = tiny_fishery
@@ -90,6 +112,52 @@ class TestExhaustiveMembership:
                                                       inst.controls)
                 value = oracle.openloop_maximin(inst.xi, c, inst.sys, inst.controls)
                 assert member == (value >= 0)
+
+
+class TestPathSearch:
+    """The prefix-sharing search against the product enumerations it
+    replaced (``tabular_tools``), bit for bit."""
+
+    def test_equals_product_enumeration_on_random_instances(self):
+        rng = np.random.default_rng(13)
+        members = 0
+        for i in range(16):
+            # integer tables make ties between paths and between slacks
+            inst = random_instance(rng, integer_values=bool(i % 2))
+            for c in rng.uniform(-6, 6, size=(6, 2)):
+                got = oracle.openloop_maximin(inst.xi, c, inst.sys, inst.controls)
+                want = product_openloop_maximin(inst.xi, c, inst.sys, inst.controls)
+                assert type(got) is float and got.hex() == want.hex()
+                member = oracle.exhaustive_membership(inst.xi, c, inst.sys,
+                                                      inst.controls)
+                assert member == product_exhaustive_membership(
+                    inst.xi, c, inst.sys, inst.controls)
+                members += member
+        assert members > 0
+
+    def test_equals_product_enumeration_on_two_dimensional_states(self):
+        rng = np.random.default_rng(14)
+        for _ in range(4):
+            sys, _, controls, _, _, xi = product_problem(rng)
+            for c in rng.uniform(-6, 6, size=(4, 2)):
+                got = oracle.openloop_maximin(xi, c, sys, controls)
+                assert got.hex() == product_openloop_maximin(xi, c, sys, controls).hex()
+                assert (oracle.exhaustive_membership(xi, c, sys, controls)
+                        == product_exhaustive_membership(xi, c, sys, controls))
+
+    def test_equals_product_enumeration_on_the_fishery(self, tiny_fishery):
+        sys, controls = tiny_fishery
+        for c in ([0.0, 0.0], [20.0, 5.0], [30.0, 10.0], [45.0, 15.0]):
+            got = oracle.openloop_maximin(50.0, c, sys, controls)
+            assert got.hex() == product_openloop_maximin(50.0, c, sys, controls).hex()
+            assert (oracle.exhaustive_membership(50.0, c, sys, controls)
+                    == product_exhaustive_membership(50.0, c, sys, controls))
+
+    def test_budget_exceeded_raises(self, tiny_fishery):
+        sys, controls = tiny_fishery
+        for fn in (oracle.openloop_maximin, oracle.exhaustive_membership):
+            with pytest.raises(oracle.BudgetExceededError):
+                fn(50.0, [0.0, 0.0], sys, controls, budget=oracle.OracleBudget(3))
 
 
 class TestSharedProperties:

@@ -125,8 +125,6 @@ class TestConstrainedMaximin:
             tab.xi, 0, [100.0, 100.0], tab.sys, tab.grid, tab.controls,
             compiled=tab.compiled, reach=tab.reach)
         assert not res.feasible
-        with pytest.raises(pareto.InfeasibleThresholdError):
-            res.require_feasible([100.0, 100.0])
 
     def test_interior_value_exceeds_component_and_pinned_value_equals_it(self):
         # two states; staying in state 1 yields g = (3, 1), state 0 pays (0, 9)
