@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent a210480 --change HEAD \
         --workload tabular-oracle:9931:10 --workload tabular-suite:9921:10 \
-        --series 1 --note "the change as committed" --out BENCH_7.json
+        --note "the change as committed" --out BENCH_7.json
 
 Each commit is exported with ``git archive`` into its own fresh directory
 (in a temporary directory under ``--work``, removed at the end), and
@@ -11,10 +11,9 @@ files.  A workload is given as NAME:FIRST_SEED:PAIRS.
 Pair p of a workload runs both sides with seed FIRST_SEED + p, one after
 the other; even pairs run the parent first, odd pairs the change.  The
 output holds the last JSON line of every run with its workload, seed,
-side, commit, pair and series.  With ``--append`` the runs are added to an
-existing file of the same parent, under a new series.  A summary of the
-end-to-end metrics (medians, the parent's quartiles, wins of the change)
-is printed at the end.
+side, commit, pair and series (always 1; ``--note`` describes it).  A
+summary of the end-to-end metrics (medians, the parent's quartiles, wins
+of the change) is printed at the end.
 """
 
 from __future__ import annotations
@@ -116,35 +115,27 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="commit of the change side")
     ap.add_argument("--workload", action="append", required=True, type=plan,
                     metavar="NAME:FIRST_SEED:PAIRS")
-    ap.add_argument("--series", type=int, default=1)
-    ap.add_argument("--note", required=True, help="what the series measures")
+    ap.add_argument("--note", required=True, help="what the change side is")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--append", action="store_true",
-                    help="add the runs to an existing --out of the same parent")
     ap.add_argument("--work", type=Path, default=None,
                     help="directory for the exports (default: a temporary one)")
     args = ap.parse_args(argv)
 
-    doc = {"command": COMMAND, "pairing": PAIRING, "machine": machine(),
-           "parent": None, "series": {}, "runs": []}
-    if args.append:
-        doc = json.loads(args.out.read_text())
     with tempfile.TemporaryDirectory(dir=args.work, prefix="bench-pairs-") as work:
         sides = {side: Path(work) / side for side in ("parent", "change")}
         commits = {side: export(rev, sides[side])
                    for side, rev in (("parent", args.parent), ("change", args.change))}
-        if doc["parent"] not in (None, commits["parent"]):
-            ap.error(f"{args.out} holds runs against parent {doc['parent']}, "
-                     f"not {commits['parent']}")
-        doc["parent"] = commits["parent"]
-        doc["series"][str(args.series)] = f"change at {commits['change']}: {args.note}"
+        doc = {"command": COMMAND, "pairing": PAIRING, "machine": machine(),
+               "parent": commits["parent"],
+               "series": {"1": f"change at {commits['change']}: {args.note}"},
+               "runs": []}
         for name, first, pairs in args.workload:
             for pair in range(pairs):
                 seed = first + pair
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
                     result = run_one(sides[side], name, seed)
-                    doc["runs"].append({"series": args.series, "workload": name,
+                    doc["runs"].append({"series": 1, "workload": name,
                                         "seed": seed, "side": side,
                                         "commit": commits[side], "pair": pair,
                                         "result": result})
@@ -152,7 +143,7 @@ def main(argv=None) -> int:
                     print(f"{name} seed {seed} {side}: ops_per_s {ops}", flush=True)
                     # written after every run: an interrupted session keeps its runs
                     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    summary([r for r in doc["runs"] if r["series"] == args.series])
+    summary(doc["runs"])
     return 0
 
 

@@ -101,9 +101,10 @@ def _path_search(xi, sys: SystemSpec, controls: ControlMesh, bud: OracleBudget,
     Depth first over control prefixes.  A prefix carries the states of all
     its scenario prefixes, in lexicographic order, and the smallest score
     met so far.  It is dropped, with every extension, once that score is
-    <= the best complete path: the path's value can only fall further.  The
-    search stops once the best reaches ``enough``.  One expansion is one
-    simulated step, spent before the steps of a prefix are taken.
+    <= the best complete path: no extension can beat the best, since a
+    path's value is at most any score on it.  The search stops once the
+    best reaches ``enough``.  One expansion is one simulated step, spent
+    before the steps of a prefix are taken.
     """
     best = -np.inf
     last = sys.horizon
