@@ -141,7 +141,7 @@ def main(argv=None) -> int:
                                         "result": result})
                     ops = result.get("metrics", {}).get("ops_per_s", {}).get("value")
                     print(f"{name} seed {seed} {side}: ops_per_s {ops}", flush=True)
-                    # written after every run: an interrupted session keeps its runs
+                    # written after every run, so an interruption keeps the runs done
                     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     summary(doc["runs"])
     return 0
