@@ -22,8 +22,7 @@ from .model import (FiniteControlSpace, IntervalControlSpace, SystemSpec,
 from .oracle import (OracleBudget, closedloop_maximin, exhaustive_membership,
                      openloop_maximin)
 from .pareto import (FrontResult, StrongChain, constrained_maximin_value,
-                     project_to_weak_front, strong_pareto_point,
-                     threshold_of_policy, weak_front)
+                     strong_pareto_point, threshold_of_policy, weak_front)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,7 @@ __all__ = [
     "robust_value", "solve_value", "membership", "stage_slack", "terminal_slack",
     "OracleBudget", "closedloop_maximin", "openloop_maximin",
     "exhaustive_membership",
-    "FrontResult", "StrongChain", "weak_front", "project_to_weak_front",
+    "FrontResult", "StrongChain", "weak_front",
     "constrained_maximin_value", "threshold_of_policy",
     "strong_pareto_point",
     "FisheryParams", "build_fishery_system",

@@ -65,6 +65,22 @@ system, and a fresh block per sweep faults in megabytes of new pages on
 every solve.  The slack scores, built before a sweep, take their
 per-component differences through the same buffer.
 
+An optimizing sweep stops at a fixed point.  Say stages 0..n share one
+stage table and one score array, the reachable sets are nested, R_0 <=
+R_1 <= ... <= R_{n+1}, and closed under the compiled system: every
+stage-j read from R_j lands in R_{j+1}.  ``build_reachable_sets``
+guarantees closure for the system it was built from, ``full_grid_sets``
+for any; hand-built sets keep the stage-by-stage loop.  If V_n then
+equals V_{n+1} bit for bit on R_n, every lower stage j gets V_n on R_j
+and, with a policy, stage n's choices there.  By induction each skipped
+stage reads only values on which V_n and V_{n+1} agree, through the same
+operator and scores, and the kernel's float operations on a row do not
+depend on the other rows swept, so each filled table is bitwise the one
+the loop computes.  What depends only on the compiled system or the
+reach is found once (``CompiledSystem._shared``, ``ReachableSets.nested``
+and ``closed_under``), so a sweep that never stops pays one comparison
+per eligible stage.  Policy evaluation runs every stage.
+
 Everything here is deterministic: control ties resolve to the lowest mesh
 index, so repeated runs reproduce tables bitwise.
 """
@@ -202,6 +218,10 @@ class CompiledSystem:
             self._stages = [self._build_stage(k) for k in range(horizon + 1)]
             for k, sa in enumerate(self._stages):
                 self._fold_caps(sa, k)
+        # stages 0.._shared-1 are one object: the prefix an optimizing
+        # sweep may fill from a fixed point (``_sweep``)
+        self._shared = next((k for k, sa in enumerate(self._stages)
+                             if sa is not self._stages[0]), horizon + 1)
         self.theta_vals = self._terminal_at(self._nodes)
         # per control, the stage kernel's scratch at its largest stage: the
         # gathered corners of every (row, scenario) and one result per row
@@ -427,8 +447,14 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
     V = np.full(n_nodes, np.nan)
     V[rows] = terminal_score[rows]
     tables[sys.horizon + 1] = _table(sys.horizon + 1, threshold, grid, V,
-                                     compiled.interp)
+                                     ~np.isnan(V), compiled.interp)
     buf = compiled._scratch(len(compiled.controls) if fixed is None else 1)
+    # V_n == V_{n+1} may end an optimizing sweep at the stages 1..top that
+    # share stage 0's table with nested sets closed under ``compiled``
+    # (module docstring); the score arrays are checked when it happens
+    top = 0
+    if fixed is None and (reach.full or reach.closed_under is compiled):
+        top = min(compiled._shared, reach.nested - 1) - 1
     for n in range(sys.horizon, -1, -1):
         rows, sa = reach.selectors[n], compiled.stage(n)
         if fixed is None:
@@ -450,9 +476,21 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
                 f"stage-{n} sweep touched unpopulated next-stage nodes")
         if want_policy:
             choices[n][rows] = q.argmax(axis=-1)
+        stop = (0 < n <= top and vals.tobytes() == V[rows].tobytes()
+                and all(stage_scores[j] is stage_scores[n] for j in range(n)))
         V = np.full(n_nodes, np.nan)
         V[rows] = vals
-        tables[n] = _table(n, threshold, grid, V, compiled.interp)
+        # no value on R_n is NaN, so R_n is exactly the populated set
+        tables[n] = _table(n, threshold, grid, V, reach.masks[n].copy(),
+                           compiled.interp)
+        if stop:
+            below = reach.masks[:n]
+            for j, Vj in enumerate(np.where(below, V, np.nan)):
+                tables[j] = _table(j, threshold, grid, Vj, below[j].copy(),
+                                   compiled.interp)
+            if want_policy:
+                np.copyto(choices[:n], choices[n], where=below)
+            break
     return tables, choices
 
 
@@ -475,9 +513,9 @@ def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
                   policy.choices, False)[0]
 
 
-def _table(stage, threshold, grid, V, interp) -> ValueTable:
+def _table(stage, threshold, grid, V, populated, interp) -> ValueTable:
     return ValueTable(stage=stage, threshold=threshold, grid=grid, values=V,
-                      populated=~np.isnan(V), interp=interp)
+                      populated=populated, interp=interp)
 
 
 # -- public solver entry points ---------------------------------------------

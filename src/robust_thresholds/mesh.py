@@ -231,15 +231,31 @@ class ReachableSets:
     slice for one contiguous node range, else an index array.  Slices
     yield views, which keeps every arithmetic lane of a sweep free of the
     NaN that marks unpopulated nodes (NaN lanes are dramatically slower).
+
+    The sets are closed under a compiled system when every stage-n read
+    from a node of ``masks[n]`` lands in ``masks[n+1]``.  Full sets are
+    closed under any compiled system; ``build_reachable_sets`` records
+    the one it was built from in ``closed_under``.  Sets built by hand
+    carry no such guarantee.
     """
 
     grid: StateGrid
     masks: np.ndarray  # (N+2, n_nodes) bool
     full: bool = False
+    closed_under: object = field(default=None, repr=False, compare=False)
     selectors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.full and not self.masks.all():
+            raise ValueError("full reachable sets must mark every node")
         object.__setattr__(self, "selectors", tuple(_row_selector(m) for m in self.masks))
+
+    @cached_property
+    def nested(self) -> int:
+        """Number of leading masks that form a chain of node sets,
+        masks[0] <= masks[1] <= ... <= masks[nested - 1]."""
+        grows = ~(self.masks[:-1] & ~self.masks[1:]).any(axis=1)
+        return 1 + (len(grows) if grows.all() else int(np.argmin(grows)))
 
     def indices(self, stage: int) -> np.ndarray:
         return np.flatnonzero(self.masks[stage])
@@ -307,7 +323,7 @@ def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: Control
             hit = masks[n + 1].copy()
             for off in offsets:
                 masks[n + 1, off:] |= hit[:grid.n_nodes - off]
-    return ReachableSets(grid=grid, masks=masks)
+    return ReachableSets(grid=grid, masks=masks, closed_under=compiled)
 
 
 def interpolate(table, x) -> float:

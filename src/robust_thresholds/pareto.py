@@ -30,7 +30,6 @@ __all__ = [
     "FrontResult",
     "StrongChain",
     "ConstrainedValue",
-    "project_to_weak_front",
     "weak_front",
     "constrained_maximin_value",
     "threshold_of_policy",
@@ -81,24 +80,6 @@ class FrontResult:
             raise ValueError("empty front has no membership predicate")
         q = as_threshold(query, self.points.shape[1])
         return bool(np.any(np.all(q <= self.points + tol, axis=1)))
-
-
-def project_to_weak_front(xi, c, sys: SystemSpec, grid: StateGrid,
-                          controls: ControlMesh, *, compiled=None, reach=None,
-                          value: float | None = None):
-    """Diagonal projection c + W(xi, c) * 1 of an unsustainable threshold.
-
-    Requires W(xi, c) < 0; pass ``value`` to reuse an already computed W.
-    Returns (projected point, W).
-    """
-    cv = as_threshold(c, sys.threshold_dim)
-    w = value if value is not None else dp.solve_value(
-        xi, cv, sys, grid, controls, compiled=compiled, reach=reach)
-    if w >= 0:
-        raise ValueError(
-            f"threshold {cv.tolist()} is already sustainable (W = {w}); "
-            "the diagonal projection needs W < 0")
-    return cv + w, w
 
 
 def weak_front(xi, mesh, sys: SystemSpec, grid: StateGrid, controls: ControlMesh, *,

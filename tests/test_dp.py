@@ -128,6 +128,25 @@ class TestBackwardRecursion:
                           for u in controls.values)
                 assert tables[n].values[i] <= cap + 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.floats(0.0, 4.0))
+    def test_antitone_in_each_component_on_tabular_systems(self, seed, comp, step):
+        # rounding is monotone, and so are min and max: raising one
+        # threshold component never raises a table entry, bit for bit
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, integer_values=seed % 2 == 1)
+        c = rng.uniform(-6.0, 6.0, size=2)
+        raised = c.copy()
+        raised[comp] += step
+        lo, _ = rt.backward_recursion(inst.sys, inst.grid, inst.controls, inst.reach,
+                                      c, compiled=inst.compiled)
+        hi, _ = rt.backward_recursion(inst.sys, inst.grid, inst.controls, inst.reach,
+                                      raised, compiled=inst.compiled)
+        for tl, th in zip(lo, hi):
+            rows = np.flatnonzero(tl.populated)
+            assert np.all(th.values[rows] <= tl.values[rows])
+        assert solve_w(inst, raised) <= solve_w(inst, c)
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-10.0, 130.0), st.floats(-10.0, 60.0))
     def test_policy_replay_reproduces_values(self, coarse_fishery, c1, c2):
@@ -300,6 +319,112 @@ class TestStageKernelPinned:
             for c in thresholds:
                 for scores, terminal in self.all_scores(compiled, c):
                     self.assert_pinned(compiled, r, scores, terminal)
+
+
+class TestFixedPointExit:
+    """An optimizing sweep over one shared stage operator stops at the first
+    stage n >= 1 with V_n == V_{n+1} bit for bit on R_n, and fills every
+    lower stage from V_n; only when the reachable sets are nested and
+    closed under the compiled system.  The tables and policies are those
+    of the stage-by-stage loop."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch) -> list:
+        calls = []
+        kernel = dp._stage_kernel
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(dp, "_stage_kernel", counted)
+        return calls
+
+    @staticmethod
+    def assert_reference(compiled, reach, scores, terminal, tables, policy):
+        values, choices = _reference_sweep(compiled, reach, scores, terminal)
+        for t, v in zip(tables, values):
+            assert np.array_equal(t.values, v, equal_nan=True)
+            assert np.array_equal(t.populated, ~np.isnan(v))
+        assert policy.choices.dtype == np.int32
+        assert np.array_equal(policy.choices, choices)
+
+    @staticmethod
+    def tabular(stage_values, terminal_values, transitions, horizon):
+        params = rt.TabularParams(node_coords=np.arange(len(terminal_values), dtype=float),
+                                  transitions=transitions, stage_values=stage_values,
+                                  terminal_values=terminal_values)
+        sys = rt.build_tabular_system(params, horizon=horizon)
+        grid = rt.StateGrid(lower=[0.0], upper=[len(terminal_values) - 1.0],
+                            counts=[len(terminal_values)])
+        controls = rt.ControlMesh(tuple(range(stage_values.shape[-2])))
+        return sys, grid, controls, rt.compile_system(sys, grid, controls, interp="nearest")
+
+    def test_default_fishery_stops_early(self, monkeypatch):
+        params = FisheryParams.default()
+        sys = build_fishery_system(params, horizon=50)
+        grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[600])
+        controls = rt.ControlMesh.uniform(0.0, params.u_max, 200)
+        compiled = rt.compile_system(sys, grid, controls)
+        reach = rt.build_reachable_sets(60.0, grid, sys, controls, compiled=compiled)
+        scores, terminal = compiled.slack_scores(np.asarray([0.0, 60.0]))
+        calls = self.kernel_calls(monkeypatch)
+        tables, policy = dp.sweep_scores(compiled, reach, scores, terminal)
+        assert len(calls) < sys.horizon + 1
+        self.assert_reference(compiled, reach, scores, terminal, tables, policy)
+
+    @pytest.mark.parametrize("full_grid", [False, True])
+    def test_time_varying_system_runs_every_stage(self, monkeypatch, full_grid):
+        # stage N maps every node to itself and no stage score binds, so
+        # V_N == V_{N+1}; stage N-1 moves nodes through its own table
+        rng = np.random.default_rng(31)
+        n_states, n_controls, horizon = 6, 3, 4
+        transitions = rng.integers(0, n_states,
+                                   size=(horizon + 1, n_states, n_controls, 2))
+        transitions[horizon] = np.arange(n_states)[:, None, None]
+        sys, grid, controls, compiled = self.tabular(
+            np.full((n_states, n_controls, 2), 10.0),
+            rng.uniform(-5.0, 5.0, size=(n_states, 2)), transitions, horizon)
+        assert compiled.stage(0) is not compiled.stage(1)
+        reach = (full_grid_sets(grid, horizon) if full_grid else
+                 rt.build_reachable_sets(0.0, grid, sys, controls, compiled=compiled))
+        scores, terminal = compiled.slack_scores(np.zeros(2))
+        # one score array for every stage: only the stage tables differ
+        for stage_scores in (scores, [scores[0]] * (horizon + 1)):
+            calls = self.kernel_calls(monkeypatch)
+            tables, policy = dp.sweep_scores(compiled, reach, stage_scores, terminal)
+            assert len(calls) == horizon + 1
+            rows = reach.masks[horizon]
+            assert np.array_equal(tables[horizon].values[rows],
+                                  tables[horizon + 1].values[rows])
+            self.assert_reference(compiled, reach, stage_scores, terminal, tables, policy)
+
+    def test_hand_built_sets_that_are_not_closed_still_raise(self, monkeypatch):
+        # every node steps to the next one and V is 1 at every stage, so a
+        # sweep on the full grid stops at stage N
+        n_states, horizon = 5, 3
+        transitions = np.broadcast_to(
+            ((np.arange(n_states) + 1) % n_states)[:, None, None], (n_states, 2, 2))
+        sys, grid, controls, compiled = self.tabular(
+            np.full((n_states, 2, 2), 2.0), np.ones((n_states, 2)), transitions, horizon)
+        calls = self.kernel_calls(monkeypatch)
+        rt.backward_recursion(sys, grid, controls, None, [0.0, 0.0], compiled=compiled)
+        assert len(calls) == 1
+        # nested, but stage 1 reads node 1 from R_2 = {0}
+        masks = np.ones((horizon + 2, n_states), dtype=bool)
+        masks[:horizon, 1:] = False
+        hand_built = rt.ReachableSets(grid=grid, masks=masks)
+        assert hand_built.nested == horizon + 2
+        with pytest.raises(UnpopulatedNodeError):
+            rt.backward_recursion(sys, grid, controls, hand_built, [0.0, 0.0],
+                                  compiled=compiled)
+
+    def test_full_sets_must_mark_every_node(self, fishery3):
+        sys, grid, *_ = fishery3
+        masks = np.ones((sys.horizon + 2, grid.n_nodes), dtype=bool)
+        masks[1, 0] = False
+        with pytest.raises(ValueError, match="every node"):
+            rt.ReachableSets(grid=grid, masks=masks, full=True)
 
 
 class TestProductSystem:

@@ -16,31 +16,42 @@ def tab():
 
 
 class TestProjection:
-    def test_projection_arithmetic(self, tab):
-        p, w = pareto.project_to_weak_front(
-            tab.xi, [10.0, 10.0], tab.sys, tab.grid, tab.controls,
-            compiled=tab.compiled, reach=tab.reach, value=-3.0)
-        np.testing.assert_allclose(p, [7.0, 7.0])
-        assert w == -3.0
+    """``weak_front`` projects each unsustainable mesh point along the
+    diagonal, p(c) = c + W(xi, c) * 1, and reports sustainable ones."""
 
-    def test_rejects_sustainable_point(self, tab):
-        with pytest.raises(ValueError, match="already sustainable"):
-            pareto.project_to_weak_front(
-                tab.xi, [-50.0, -50.0], tab.sys, tab.grid, tab.controls,
-                compiled=tab.compiled, reach=tab.reach)
+    def test_projection_arithmetic(self, tab):
+        mesh = [[10.0, 10.0], [7.0, 12.0]]
+        front = pareto.weak_front(tab.xi, mesh, tab.sys, tab.grid, tab.controls,
+                                  compiled=tab.compiled, reach=tab.reach)
+        values = np.asarray([solve_w(tab, c) for c in mesh])
+        assert np.all(values < 0)
+        assert np.array_equal(front.sources, mesh)
+        assert np.array_equal(front.values, values)
+        assert np.array_equal(front.points, np.asarray(mesh) + values[:, None])
+
+    def test_sustainable_point_reported_as_skipped(self, tab):
+        mesh = [[-50.0, -50.0], [10.0, 10.0]]
+        front = pareto.weak_front(tab.xi, mesh, tab.sys, tab.grid, tab.controls,
+                                  compiled=tab.compiled, reach=tab.reach)
+        assert np.array_equal(front.skipped_sources, [[-50.0, -50.0]])
+        assert np.array_equal(front.skipped_values, [solve_w(tab, [-50.0, -50.0])])
+        assert front.skipped_values[0] >= 0
+        assert np.array_equal(front.sources, [[10.0, 10.0]])
+        assert any("inside the sustainable set" in d for d in front.diagnostics)
 
     def test_projected_point_has_zero_value(self):
         rng = np.random.default_rng(21)
+        projected = 0
         for _ in range(6):
             inst = random_instance(rng)
-            c = np.asarray([7.0, 7.0])
-            w = solve_w(inst, c)
-            if w >= 0:
-                continue
-            p, _ = pareto.project_to_weak_front(
-                inst.xi, c, inst.sys, inst.grid, inst.controls,
-                compiled=inst.compiled, reach=inst.reach, value=w)
-            assert abs(solve_w(inst, p)) <= 1e-12
+            front = pareto.weak_front(inst.xi, [[7.0, 7.0]], inst.sys, inst.grid,
+                                      inst.controls, compiled=inst.compiled,
+                                      reach=inst.reach)
+            for p, w in zip(front.points, front.revalidated):
+                assert w == solve_w(inst, p)
+                assert abs(w) <= 1e-12
+                projected += 1
+        assert projected
 
 
 @pytest.fixture(scope="module")
