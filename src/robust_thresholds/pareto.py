@@ -16,6 +16,7 @@ systems with nearest-node interpolation both hold exactly.
 
 from __future__ import annotations
 
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -210,7 +211,6 @@ class StrongChain:
     permutation: tuple
     chain: np.ndarray             # (m+1, m)
     values: np.ndarray            # (m,) optimal value of step i solve
-    policies: list
     residual_monotone: float      # worst componentwise decrease along the chain
     residual_identity: float      # worst |value_i - chain[j][sigma(i)]|, j >= i
     diagnostics: list = field(default_factory=list)
@@ -221,24 +221,75 @@ class StrongChain:
         return self.chain[-1]
 
 
+_SIGN = -(1 << 63)
+
+
+def _float_key(x: float) -> int:
+    """Integer that orders floats as their values do, one step per float."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else _SIGN - bits
+
+
+def _key_midpoint(lo: float, hi: float) -> float:
+    """The float halfway from lo to hi in the count of floats between them."""
+    key = (_float_key(lo) + _float_key(hi)) // 2
+    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else _SIGN - key))[0]
+
+
 def _largest_accepted_level(solve, c: np.ndarray, comp: int, tol: float,
                             upper: float) -> float:
-    """Largest t >= c[comp] with solve(c + (t - c[comp]) e_comp) >= -tol.
+    """Largest float t >= c[comp] with solve(c + (t - c[comp]) e_comp) >= -tol.
 
-    Bisection on the sign of W, which is antitone in t; W(c) is already
-    accepted and W rejects t = ``upper``.  Stops at adjacent floats.
+    W(c) is already accepted and W rejects t = ``upper``.  The float
+    evaluation of t -> W(c + t e_comp) is nonincreasing (rounding, min, max
+    and sums with nonnegative interpolation weights are all monotone), so
+    that float is unique: it is the accepted ``lo`` whose next float is
+    rejected, the level plain bisection ends on.  The search keeps a
+    bracket ``lo`` accepted, ``hi`` rejected, classifies every probe by its
+    computed W only, and stops on adjacent floats alone.
+
+    The first probe is the float after c[comp]; if W rejects it, the start
+    is the answer.  Later probes come from models of the piecewise-linear
+    W: the line through the two nearest rejected probes, extrapolated to
+    W = -tol, then the secant between ``lo`` and ``hi`` when W(lo) > -tol,
+    then the value midpoint.  A model point that rounds onto an end of the
+    bracket predicts the float next to it, so that float is probed.  After
+    two probes in a row that fail to halve the number of floats in the
+    bracket, the next probe halves it, so the search takes under 200
+    solves, through subnormals and across zero too.
     """
-    lo, hi = float(c[comp]), float(upper)
     trial = c.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+    lo, hi = float(c[comp]), float(upper)
+    w_lo = w_hi = far = w_far = None  # W at lo and hi; the rejected probe before hi
+    misses = -1  # probes in a row that did not halve the bracket; the first never does
+    while lo < hi:
+        inner = float(np.nextafter(lo, hi))
+        if inner == hi:
             break
-        trial[comp] = mid
-        if solve(trial) >= -tol:
-            lo = mid
+        if w_lo is None:
+            probe = inner
         else:
-            hi = mid
+            probe = _key_midpoint(lo, hi)
+            models = []
+            if misses < 2:
+                if w_far is not None and w_far < w_hi:
+                    models.append(hi + (-tol - w_hi) * (far - hi) / (w_far - w_hi))
+                if w_hi is not None and w_lo > -tol:
+                    models.append(lo + (w_lo + tol) * (hi - lo) / (w_lo - w_hi))
+                models.append(0.5 * (lo + hi))
+            for t in models:
+                t = inner if t == lo else float(np.nextafter(hi, lo)) if t == hi else t
+                if lo < t < hi:
+                    probe = t
+                    break
+        width = _float_key(hi) - _float_key(lo)
+        trial[comp] = probe
+        w = solve(trial)
+        if w >= -tol:
+            lo, w_lo = probe, w
+        else:
+            far, w_far, hi, w_hi = hi, w_hi, probe, w
+        misses = 0 if 2 * (_float_key(hi) - _float_key(lo)) <= width else misses + 1
     return lo
 
 
@@ -262,9 +313,10 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
     On coarse multilinear grids the masked step can blend its sentinel
     across cells, or roll up a threshold that W rejects.  Such a step
     instead raises only component sigma_i of the current member to the
-    largest level W accepts (bisection on the sign of W); that level is the
-    step value and W's argmax policy there is the step policy.  The indices
-    of those steps are kept in ``line_search_steps``.
+    largest float level W accepts, found by a certified level search on the
+    sign of W (``_largest_accepted_level``); that level is the step value.
+    The chain keeps thresholds and values only, no step policies.  The
+    indices of those steps are kept in ``line_search_steps``.
     """
     m = sys.threshold_dim
     perm = tuple(int(i) for i in sigma)
@@ -282,7 +334,7 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
             f"chain start {c0v.tolist()} is not sustainable (W = {w0:.6g})")
 
     chain = [c0v]
-    values, policies, searched = [], [], []
+    values, searched = [], []
     for i in range(m):
         c = chain[-1]
         res = constrained_maximin_value(xi, perm[i], c, sys, grid, controls,
@@ -303,14 +355,10 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
             gamma = c.copy()
             gamma[perm[i]] = _largest_accepted_level(solve, c, perm[i],
                                                      membership_tol, upper)
-            _, policy = dp.backward_recursion(sys, grid, controls, rch, gamma,
-                                              compiled=comp)
             values.append(gamma[perm[i]])
-            policies.append(policy)
             searched.append(i)
         else:
             values.append(res.value)
-            policies.append(res.policy)
         chain.append(gamma)
 
     chain_arr = np.asarray(chain)
@@ -331,6 +379,6 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
         diagnostics.append(
             f"value identities violated by {residual_identity:.6g}")
     return StrongChain(permutation=perm, chain=chain_arr, values=values_arr,
-                       policies=policies, residual_monotone=residual_monotone,
+                       residual_monotone=residual_monotone,
                        residual_identity=residual_identity, diagnostics=diagnostics,
                        line_search_steps=tuple(searched))

@@ -166,6 +166,22 @@ def product_exhaustive_membership(xi, c, sys: rt.SystemSpec,
                for upath in itertools.product(controls.values, repeat=n_stages))
 
 
+def bisect_level(solve, c, comp: int, tol: float, upper: float) -> float:
+    """Reference level search: plain bisection on the sign of W, down to
+    adjacent floats, with no iteration cap."""
+    lo, hi = float(c[comp]), float(upper)
+    trial = np.array(c, dtype=float)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        trial[comp] = mid
+        if solve(trial) >= -tol:
+            lo = mid
+        else:
+            hi = mid
+
+
 PLANE_XI = (2.2, 1.7)
 
 

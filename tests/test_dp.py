@@ -147,6 +147,30 @@ class TestBackwardRecursion:
             assert np.all(th.values[rows] <= tl.values[rows])
         assert solve_w(inst, raised) <= solve_w(inst, c)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-10.0, 130.0), st.floats(-10.0, 60.0), st.integers(0, 1),
+           st.floats(0.0, 20.0))
+    def test_antitone_along_each_component_on_coarse_fishery(self, coarse_fishery,
+                                                             c1, c2, comp, step):
+        # the strong chains' level search needs W(c + t e_i) nonincreasing
+        # in t bit for bit on multilinear grids too, where the sums carry
+        # nonnegative weights and out-of-box reads are capped; a step of 0
+        # stands for the adjacent float
+        sys, grid, controls, compiled, reach = coarse_fishery
+        assert compiled.stage(0).out_node.size
+        c = np.asarray([c1, c2])
+        raised = c.copy()
+        raised[comp] = max(c[comp] + step, np.nextafter(c[comp], np.inf))
+        for sets in (reach, full_grid_sets(grid, sys.horizon)):
+            lo, _ = rt.backward_recursion(sys, grid, controls, sets, c,
+                                          compiled=compiled, want_policy=False)
+            hi, _ = rt.backward_recursion(sys, grid, controls, sets, raised,
+                                          compiled=compiled, want_policy=False)
+            for tl, th in zip(lo, hi):
+                rows = np.flatnonzero(tl.populated)
+                assert np.all(th.values[rows] <= tl.values[rows])
+            assert rt.robust_value(60.0, hi) <= rt.robust_value(60.0, lo)
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-10.0, 130.0), st.floats(-10.0, 60.0))
     def test_policy_replay_reproduces_values(self, coarse_fishery, c1, c2):

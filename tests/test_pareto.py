@@ -6,8 +6,8 @@ import pytest
 import robust_thresholds as rt
 from robust_thresholds import dp, oracle, pareto
 
-from tabular_tools import (PLANE_XI, plane_problem, random_instance, solve_w,
-                           tree_constrained_value, tree_policy_threshold)
+from tabular_tools import (PLANE_XI, bisect_level, plane_problem, random_instance,
+                           solve_w, tree_constrained_value, tree_policy_threshold)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +281,95 @@ class TestStrongChain:
             pareto.strong_pareto_point(tab.xi, [-10.0, -10.0], (0, 0), tab.sys,
                                        tab.grid, tab.controls,
                                        compiled=tab.compiled, reach=tab.reach)
+
+
+def _counted(solve):
+    """solve wrapped with a call counter in ``.calls``."""
+    def counted(c):
+        counted.calls += 1
+        return solve(c)
+    counted.calls = 0
+    return counted
+
+
+def _assert_level_equals_bisection(solve, c, comp, tol, upper):
+    """The level search returns bisection's level bit for bit, certified by
+    an accepted level whose next float is rejected; returns the solves of
+    (search, bisection)."""
+    search, bisect = _counted(solve), _counted(solve)
+    got = pareto._largest_accepted_level(search, c, comp, tol, upper)
+    want = bisect_level(bisect, c, comp, tol, upper)
+    where = f"start {c.tolist()}, component {comp}, upper {upper!r}"
+    assert got.hex() == want.hex(), where
+    above = np.nextafter(got, upper)
+    if above < upper:
+        trial = c.copy()
+        trial[comp] = got
+        assert solve(trial) >= -tol, where
+        trial[comp] = above
+        assert solve(trial) < -tol, where
+    return search.calls, bisect.calls
+
+
+class TestLevelSearch:
+    def test_fishery_fallback_steps_equal_bisection(self, coarse_fishery, monkeypatch):
+        sys, grid, controls, compiled, reach = coarse_fishery
+        calls = []
+        search = pareto._largest_accepted_level
+
+        def record(solve, c, comp, tol, upper):
+            calls.append((c.copy(), comp, tol, upper))
+            return search(solve, c, comp, tol, upper)
+
+        monkeypatch.setattr(pareto, "_largest_accepted_level", record)
+        for start in ((0.0, 0.0), (10.0, 2.0), (5.0, 7.0)):
+            for perm in ((0, 1), (1, 0)):
+                pareto.strong_pareto_point(60.0, start, perm, sys, grid, controls,
+                                           compiled=compiled, reach=reach)
+        monkeypatch.undo()
+
+        def solve(c):
+            return rt.solve_value(60.0, c, sys, grid, controls, compiled=compiled,
+                                  reach=reach)
+
+        solves = np.asarray([_assert_level_equals_bisection(solve, *call)
+                             for call in calls])
+        # one step keeps its start level 0.0, which bisection certifies
+        # only through the subnormals
+        assert len(calls) == 11
+        assert np.sum(solves[:, 0] == 1) == 3
+        assert 3 * solves[:, 0].sum() < solves[:, 1].sum()
+
+    def test_tabular_levels_equal_bisection(self):
+        rng = np.random.default_rng(91)
+        seen = {"negative": 0, "zero": 0, "one solve": 0, "adjacent": 0}
+        for k in range(60):
+            inst = random_instance(rng, integer_values=k % 2 == 1)
+
+            def solve(c):
+                return solve_w(inst, c)
+
+            comp = k % 2
+            tol = 1e-9 if k % 3 == 0 else 0.0
+            upper = inst.compiled.stage(0).g_vals[..., comp].max() + tol + 1.0
+            c = rng.uniform(-6.0, 6.0, size=2)
+            c += min(0.0, solve(c))  # onto the front along the diagonal
+            zero = c.copy()
+            zero[[comp, 1 - comp]] = 0.0, -10.0
+            for start in (c, zero):
+                if solve(start) < -tol:
+                    continue
+                calls, _ = _assert_level_equals_bisection(solve, start, comp, tol,
+                                                          upper)
+                seen["negative"] += start[comp] < 0.0
+                seen["zero"] += start[comp] == 0.0
+                seen["one solve"] += calls == 1
+                adjacent = float(np.nextafter(start[comp], np.inf))
+                calls, _ = _assert_level_equals_bisection(solve, start, comp, tol,
+                                                          adjacent)
+                assert calls == 0
+                seen["adjacent"] += 1
+        assert all(n >= 5 for n in seen.values()), seen
 
 
 class TestFisherySmoke:
