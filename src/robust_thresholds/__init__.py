@@ -11,14 +11,12 @@ included.
 """
 
 from .dp import (FeedbackPolicy, ValueTable, backward_recursion, compile_system,
-                 membership, robust_value, solve_value, stage_slack,
-                 terminal_slack)
+                 membership, robust_value, solve_value)
 from .fishery import FisheryParams, build_fishery_system
 from .mesh import (ControlMesh, ReachableSets, StateGrid, ThresholdRayMesh,
                    build_reachable_sets, interpolate, threshold_ray_mesh)
 from .model import (FiniteControlSpace, IntervalControlSpace, SystemSpec,
-                    TabularParams, build_tabular_system, check_admissible,
-                    simulate)
+                    TabularParams, build_tabular_system)
 from .oracle import (OracleBudget, closedloop_maximin, exhaustive_membership,
                      openloop_maximin)
 from .pareto import (FrontResult, StrongChain, constrained_maximin_value,
@@ -27,12 +25,12 @@ from .pareto import (FrontResult, StrongChain, constrained_maximin_value,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SystemSpec", "TabularParams", "build_tabular_system", "simulate",
-    "check_admissible", "IntervalControlSpace", "FiniteControlSpace",
+    "SystemSpec", "TabularParams", "build_tabular_system",
+    "IntervalControlSpace", "FiniteControlSpace",
     "StateGrid", "ControlMesh", "ThresholdRayMesh", "threshold_ray_mesh",
     "ReachableSets", "build_reachable_sets", "interpolate",
     "ValueTable", "FeedbackPolicy", "compile_system", "backward_recursion",
-    "robust_value", "solve_value", "membership", "stage_slack", "terminal_slack",
+    "robust_value", "solve_value", "membership",
     "OracleBudget", "closedloop_maximin", "openloop_maximin",
     "exhaustive_membership",
     "FrontResult", "StrongChain", "weak_front",

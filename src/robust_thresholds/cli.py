@@ -26,7 +26,7 @@ import numpy as np
 from . import dp, oracle, pareto
 from .config import ConfigError, Problem, build_problem, parse_config, serialize
 from .fishery import FisheryParams, robust_boundary
-from .mesh import build_reachable_sets, full_grid_sets
+from .mesh import INTERP_MODES, build_reachable_sets, full_grid_sets
 from .model import as_threshold
 
 __all__ = ["main"]
@@ -98,13 +98,13 @@ def _parse_threshold(text: str, m: int) -> np.ndarray:
 def _solve(args):
     """Load the problem, parse ``--threshold`` and solve W(xi, c) once.
 
-    Returns (problem, c, compiled, reach, W)."""
+    Returns (problem, c, value tables, W), W read off the tables."""
     problem = _load_problem(args)
     c = _parse_threshold(args.threshold, problem.sys.threshold_dim)
     compiled, reach = _prepare(problem)
-    w = dp.solve_value(problem.xi, c, problem.sys, problem.grid, problem.controls,
-                       compiled=compiled, reach=reach)
-    return problem, c, compiled, reach, w
+    tables, _ = dp.backward_recursion(problem.sys, problem.grid, problem.controls,
+                                      reach, c, compiled=compiled, want_policy=False)
+    return problem, c, tables, dp.robust_value(problem.xi, tables)
 
 
 def _oracles(problem: Problem, c):
@@ -152,10 +152,13 @@ def cmd_weak_front(args) -> int:
             for i in range(len(front))]
     _write(out / "front.csv", header, cols, rows)
 
-    samples = _membership_sample(front, problem)
-    _write(out / "set_membership.csv", header,
-           [f"c_{j + 1}" for j in range(m)] + ["member"],
-           [(*c, int(flag)) for c, flag in samples])
+    notes = list(front.diagnostics)
+    if len(front):
+        _write(out / "set_membership.csv", header,
+               [f"c_{j + 1}" for j in range(m)] + ["member"],
+               [(*c, int(flag)) for c, flag in _membership_sample(front, problem)])
+    else:
+        notes.append("the front is empty, so set_membership.csv is not written")
 
     if cfg.model_kind == "fishery-beverton-holt":
         _write_analytic(out / "analytic_fishery.csv", header, problem)
@@ -166,7 +169,7 @@ def cmd_weak_front(args) -> int:
                ["stage", "node", *(f"x_{d + 1}" for d in range(problem.grid.dim))],
                reach.to_rows())
 
-    for note in front.diagnostics:
+    for note in notes:
         print(f"warning: {note}")
     print(f"front: {len(front)} points "
           f"({len(front.skipped_sources)} mesh points skipped), "
@@ -174,7 +177,7 @@ def cmd_weak_front(args) -> int:
           f"(tolerance {front.front_tol:.3g})")
     print(f"wrote {out / 'front.csv'}")
     hard = [d for d in front.diagnostics if "residual" in d or "decreases" in d]
-    return 1 if hard else 0
+    return 1 if hard or not len(front) else 0
 
 
 def _membership_sample(front: pareto.FrontResult, problem: Problem,
@@ -278,7 +281,7 @@ def cmd_strong_front(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    problem, c, compiled, reach, w = _solve(args)
+    problem, c, tables, w = _solve(args)
     cfg = problem.config
     verdict = w >= -cfg.membership_tol
     lines = [f"W(xi, c) = {_fmt(w)}",
@@ -300,9 +303,6 @@ def cmd_membership(args) -> int:
     (out / "membership_report.txt").write_text(
         _header("membership", problem) + report + "\n")
     if getattr(args, "debug_export", False):
-        tables, _ = dp.backward_recursion(problem.sys, problem.grid, problem.controls,
-                                          reach, c, compiled=compiled,
-                                          want_policy=False)
         coords = problem.grid.node_coordinates()
         rows = []
         for t in tables:
@@ -320,7 +320,7 @@ def cmd_value(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    problem, c, _, _, w = _solve(args)
+    problem, c, _, w = _solve(args)
     cl, ol, ex, used = _oracles(problem, c)
     print(f"solver W                 = {_fmt(w)}")
     print(f"closed-loop oracle       = {_fmt(cl)}  (gap {_fmt(w - cl)})")
@@ -360,7 +360,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to the YAML configuration")
     p.add_argument("--out", help="output directory (overrides the config)")
     p.add_argument("--jobs", type=int, help="parallel workers over thresholds")
-    p.add_argument("--interp", choices=("multilinear", "nearest"),
+    p.add_argument("--interp", choices=INTERP_MODES,
                    help="interpolation mode override")
     p.add_argument("--full-grid", action="store_true", dest="full_grid",
                    help="skip reachability, populate every grid node")

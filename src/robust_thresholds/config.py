@@ -16,12 +16,12 @@ import numpy as np
 import yaml
 
 from .fishery import FisheryParams, build_fishery_system
-from .mesh import ControlMesh, StateGrid, ThresholdRayMesh, threshold_ray_mesh
+from .mesh import (INTERP_MODES, ControlMesh, StateGrid, ThresholdRayMesh,
+                   threshold_ray_mesh)
 from .model import SystemSpec, TabularParams, build_tabular_system
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize", "build_problem"]
 
-INTERPOLATIONS = ("multilinear", "nearest")
 MODEL_KINDS = ("fishery-beverton-holt", "tabular")
 
 
@@ -228,8 +228,8 @@ def parse_config(text: str) -> RunConfig:
 
     options = _section(raw.get("options", {}), "options", _OPTION_KEYS)
     interpolation = options.get("interpolation", "multilinear")
-    _require(interpolation in INTERPOLATIONS, "options.interpolation",
-             f"must be one of {list(INTERPOLATIONS)}")
+    _require(interpolation in INTERP_MODES, "options.interpolation",
+             f"must be one of {list(INTERP_MODES)}")
     full_grid = options.get("full_grid", False)
     _require(isinstance(full_grid, bool), "options.full_grid", "expected a boolean")
     oracle = options.get("oracle", False)

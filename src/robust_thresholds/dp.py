@@ -102,8 +102,6 @@ __all__ = [
     "FeedbackPolicy",
     "CompiledSystem",
     "compile_system",
-    "stage_slack",
-    "terminal_slack",
     "backward_recursion",
     "robust_value",
     "solve_value",
@@ -122,7 +120,6 @@ class ValueTable:
     """Stage-n values on grid nodes for one threshold (NaN = never populated)."""
 
     stage: int
-    threshold: np.ndarray | None
     grid: StateGrid
     values: np.ndarray
     populated: np.ndarray
@@ -136,24 +133,8 @@ class FeedbackPolicy:
     ``choices[n, i] == -1`` marks nodes the solve never populated.
     """
 
-    grid: StateGrid
     controls: ControlMesh
     choices: np.ndarray  # (N+1, n_nodes) int32
-
-
-# -- exact slack operations (no grid involved) -----------------------------
-
-
-def stage_slack(sys: SystemSpec, k: int, x, u, c) -> float:
-    """Smallest componentwise gap g^k(x, u) - c; >= 0 iff the stage clears c."""
-    cv = as_threshold(c, sys.threshold_dim)
-    return float(np.min(sys.stage_constraint(k, x, u) - cv))
-
-
-def terminal_slack(sys: SystemSpec, x, c) -> float:
-    """Smallest componentwise gap between the terminal constraint and c."""
-    cv = as_threshold(c, sys.threshold_dim)
-    return float(np.min(sys.terminal(x) - cv))
 
 
 # -- discretization compiled once, reused across thresholds ----------------
@@ -170,10 +151,8 @@ class _StageArrays:
     # constraints on the last axis, already capped componentwise by the
     # cap vector of every out-of-box image of (node, control)
     g_vals: np.ndarray      # (n_nodes, n_u, m)
-    # one entry per (node, control, scenario) whose image leaves the grid
-    # box, sorted by node: the node, the control and the exact image
-    out_node: np.ndarray    # (n_out,) int64
-    out_u: np.ndarray       # (n_out,) int64
+    # the exact image of every (node, control, scenario) that leaves the
+    # grid box, sorted by node
     out_pts: np.ndarray     # (n_out, dim)
 
     @property
@@ -207,17 +186,15 @@ class CompiledSystem:
         self._nodes = grid.node_coordinates()
         horizon = sys.horizon
         if sys.time_invariant:
-            last = self._build_stage(0)
-            shared = replace(last, g_vals=last.g_vals.copy())
-            self._fold_caps(shared, 0)
-            self._fold_caps(last, horizon)
+            last, pairs = self._build_stage(0)
+            shared = self._fold_caps(replace(last, g_vals=last.g_vals.copy()), pairs, 0)
+            self._fold_caps(last, pairs, horizon)
             if np.array_equal(last.g_vals, shared.g_vals):
                 last = shared
             self._stages = [shared] * horizon + [last]
         else:
-            self._stages = [self._build_stage(k) for k in range(horizon + 1)]
-            for k, sa in enumerate(self._stages):
-                self._fold_caps(sa, k)
+            self._stages = [self._fold_caps(*self._build_stage(k), k)
+                            for k in range(horizon + 1)]
         # stages 0.._shared-1 are one object: the prefix an optimizing
         # sweep may fill from a fixed point (``_sweep``)
         self._shared = next((k for k, sa in enumerate(self._stages)
@@ -263,7 +240,9 @@ class CompiledSystem:
             th = np.asarray([sys.terminal(self._one(row)) for row in pts], dtype=float)
         return th.reshape(len(pts), sys.threshold_dim)
 
-    def _build_stage(self, k: int) -> _StageArrays:
+    def _build_stage(self, k: int) -> tuple[_StageArrays, np.ndarray]:
+        """Stage-k arrays, and the flat (node, control) index of each
+        out-of-box image, which only ``_fold_caps`` reads."""
         sys, grid = self.sys, self.grid
         n_u, n_w = len(self.controls), len(sys.scenario_sets[k])
         n = len(self._nodes)
@@ -278,19 +257,20 @@ class CompiledSystem:
                 idx, wts = grid.locate(images[:, j, s], mode=self.interp)
                 base[:, j, s] = idx[:, 0]
                 corner_w[:, j, s] = wts
-        out_node, out_u, out_w = np.nonzero(
+        node, ctrl, scen = np.nonzero(
             ((images < grid.lower) | (images > grid.upper)).any(axis=-1))
-        return _StageArrays(base=base, corner_w=corner_w, offsets=self.offsets,
-                            g_vals=g_vals, out_node=out_node, out_u=out_u,
-                            out_pts=images[out_node, out_u, out_w])
+        sa = _StageArrays(base=base, corner_w=corner_w, offsets=self.offsets,
+                          g_vals=g_vals, out_pts=images[node, ctrl, scen])
+        return sa, node * n_u + ctrl
 
-    def _fold_caps(self, sa: _StageArrays, n: int) -> None:
-        """Fold each out-of-box cap of stage n into ``sa.g_vals`` in place:
-        theta(y) for n = N, else G(y) = max over mesh controls of
-        g_{n+1}(y, .), componentwise min into the vector of its (x, u)."""
+    def _fold_caps(self, sa: _StageArrays, pair: np.ndarray, n: int) -> _StageArrays:
+        """Fold each out-of-box cap of stage n into ``sa.g_vals`` in place
+        and return ``sa``: theta(y) for n = N, else G(y) = max over mesh
+        controls of g_{n+1}(y, .), componentwise min into the vector of its
+        (x, u), whose flat index is ``pair``."""
         pts = sa.out_pts
         if not len(pts):
-            return
+            return sa
         if n == self.sys.horizon:
             cap = self._terminal_at(pts)
         else:
@@ -298,11 +278,11 @@ class CompiledSystem:
             for u in self.controls.values[1:]:
                 cap = np.maximum(cap, self._constraints_at(n + 1, pts, u))
         # entries are sorted by node, so each (node, control) pair is one run
-        pair = sa.out_node * len(self.controls) + sa.out_u
         first = np.flatnonzero(np.diff(pair, prepend=-1))
         flat = sa.g_vals.reshape(-1, sa.g_vals.shape[-1])  # a view: g_vals is contiguous
         flat[pair[first]] = np.minimum(flat[pair[first]],
                                        np.minimum.reduceat(cap, first, axis=0))
+        return sa
 
     def stage(self, k: int) -> _StageArrays:
         return self._stages[k]
@@ -430,7 +410,7 @@ def _stage_kernel(V: np.ndarray, base: np.ndarray, cw: np.ndarray | None,
 
 def _sweep(compiled: CompiledSystem, reach: ReachableSets,
            stage_scores: list[np.ndarray], terminal_score: np.ndarray,
-           threshold, fixed: np.ndarray | None, want_policy: bool):
+           fixed: np.ndarray | None, want_policy: bool):
     """Backward maximin sweep; returns (tables, argmax choices or None).
 
     With ``fixed`` None every row maximizes over the whole control mesh.
@@ -438,7 +418,7 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
     control: the kernel then sees a control axis of length one, and the
     max over it evaluates the policy.
     """
-    sys, grid = compiled.sys, compiled.grid
+    sys, grid, interp = compiled.sys, compiled.grid, compiled.interp
     n_nodes = grid.n_nodes
     tables: list[ValueTable] = [None] * (sys.horizon + 2)  # type: ignore[list-item]
     choices = (np.full((sys.horizon + 1, n_nodes), -1, dtype=np.int32)
@@ -446,8 +426,7 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
     rows = reach.selectors[sys.horizon + 1]
     V = np.full(n_nodes, np.nan)
     V[rows] = terminal_score[rows]
-    tables[sys.horizon + 1] = _table(sys.horizon + 1, threshold, grid, V,
-                                     ~np.isnan(V), compiled.interp)
+    tables[sys.horizon + 1] = ValueTable(sys.horizon + 1, grid, V, ~np.isnan(V), interp)
     buf = compiled._scratch(len(compiled.controls) if fixed is None else 1)
     # V_n == V_{n+1} may end an optimizing sweep at the stages 1..top that
     # share stage 0's table with nested sets closed under ``compiled``
@@ -481,13 +460,11 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
         V = np.full(n_nodes, np.nan)
         V[rows] = vals
         # no value on R_n is NaN, so R_n is exactly the populated set
-        tables[n] = _table(n, threshold, grid, V, reach.masks[n].copy(),
-                           compiled.interp)
+        tables[n] = ValueTable(n, grid, V, reach.masks[n].copy(), interp)
         if stop:
             below = reach.masks[:n]
             for j, Vj in enumerate(np.where(below, V, np.nan)):
-                tables[j] = _table(j, threshold, grid, Vj, below[j].copy(),
-                                   compiled.interp)
+                tables[j] = ValueTable(j, grid, Vj, below[j].copy(), interp)
             if want_policy:
                 np.copyto(choices[:n], choices[n], where=below)
             break
@@ -496,26 +473,21 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
 
 def sweep_scores(compiled: CompiledSystem, reach: ReachableSets,
                  stage_scores: list[np.ndarray], terminal_score: np.ndarray,
-                 *, threshold=None, want_policy: bool = True):
+                 *, want_policy: bool = True):
     """Backward optimization sweep; returns (tables, policy_or_None)."""
     tables, choices = _sweep(compiled, reach, stage_scores, terminal_score,
-                             threshold, None, want_policy)
-    policy = (FeedbackPolicy(grid=compiled.grid, controls=compiled.controls,
-                             choices=choices) if want_policy else None)
+                             None, want_policy)
+    policy = (FeedbackPolicy(controls=compiled.controls, choices=choices)
+              if want_policy else None)
     return tables, policy
 
 
 def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
                  policy: FeedbackPolicy, stage_scores: list[np.ndarray],
-                 terminal_score: np.ndarray, *, threshold=None):
+                 terminal_score: np.ndarray):
     """Backward evaluation sweep of a fixed feedback policy."""
-    return _sweep(compiled, reach, stage_scores, terminal_score, threshold,
+    return _sweep(compiled, reach, stage_scores, terminal_score,
                   policy.choices, False)[0]
-
-
-def _table(stage, threshold, grid, V, populated, interp) -> ValueTable:
-    return ValueTable(stage=stage, threshold=threshold, grid=grid, values=V,
-                      populated=populated, interp=interp)
 
 
 # -- public solver entry points ---------------------------------------------
@@ -539,10 +511,8 @@ def backward_recursion(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
     argmax resolve to the lowest mesh index.
     """
     comp, rch = _ensure(sys, grid, controls, compiled, reach)
-    cv = as_threshold(c, sys.threshold_dim)
-    stage_scores, terminal = comp.slack_scores(cv)
-    return sweep_scores(comp, rch, stage_scores, terminal, threshold=cv,
-                        want_policy=want_policy)
+    stage_scores, terminal = comp.slack_scores(as_threshold(c, sys.threshold_dim))
+    return sweep_scores(comp, rch, stage_scores, terminal, want_policy=want_policy)
 
 
 def robust_value(xi, tables: list[ValueTable]) -> float:

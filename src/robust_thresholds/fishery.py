@@ -27,41 +27,11 @@ from .model import IntervalControlSpace, SystemSpec, as_threshold
 
 __all__ = [
     "FisheryParams",
-    "beverton_holt",
-    "surplus",
-    "msy_stock",
-    "msy_harvest",
     "robust_boundary",
     "infinite_horizon_membership",
     "infinite_horizon_membership_robust",
     "build_fishery_system",
 ]
-
-
-def beverton_holt(x, r: float, K: float):
-    """Stock recruitment (1+r) x / (1 + (r/K) x); requires stock x >= 0.
-
-    Fixed points at 0 and K; strictly increasing and concave in between.
-    """
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
-        raise ValueError("negative stock passed to the growth map")
-    return (1.0 + r) * xa / (1.0 + (r / K) * xa)
-
-
-def surplus(x, r: float, K: float):
-    """Equilibrium harvest at stock x: growth minus standing stock."""
-    return beverton_holt(x, r, K) - np.asarray(x, dtype=float)
-
-
-def msy_stock(r: float, K: float) -> float:
-    """Stock maximizing the surplus: K / (1 + sqrt(1+r))."""
-    return K / (1.0 + np.sqrt(1.0 + r))
-
-
-def msy_harvest(r: float, K: float) -> float:
-    """Maximum sustainable yield K (sqrt(1+r) - 1)^2 / r (= surplus at its peak)."""
-    return K * (np.sqrt(1.0 + r) - 1.0) ** 2 / r
 
 
 @dataclass(frozen=True)
@@ -96,16 +66,28 @@ class FisheryParams:
                              u_max=u_max, m_big=m_big, scenarios=scenarios)
 
     def growth(self, x, w):
-        return beverton_holt(x, self.r[w], self.K[w])
+        """Stock recruitment (1+r) x / (1 + (r/K) x) of scenario w; requires
+        stock x >= 0.  Fixed points at 0 and K; strictly increasing and
+        concave in between."""
+        xa = np.asarray(x, dtype=float)
+        if np.any(xa < 0):
+            raise ValueError("negative stock passed to the growth map")
+        r, K = self.r[w], self.K[w]
+        return (1.0 + r) * xa / (1.0 + (r / K) * xa)
 
     def surplus(self, x, w):
-        return surplus(x, self.r[w], self.K[w])
+        """Equilibrium harvest at stock x: growth minus standing stock."""
+        return self.growth(x, w) - np.asarray(x, dtype=float)
 
     def msy_stock(self, w) -> float:
-        return msy_stock(self.r[w], self.K[w])
+        """Stock maximizing the surplus: K / (1 + sqrt(1+r))."""
+        return self.K[w] / (1.0 + np.sqrt(1.0 + self.r[w]))
 
     def msy_harvest(self, w) -> float:
-        return msy_harvest(self.r[w], self.K[w])
+        """Maximum sustainable yield K (sqrt(1+r) - 1)^2 / r, the surplus at
+        its peak."""
+        r = self.r[w]
+        return self.K[w] * (np.sqrt(1.0 + r) - 1.0) ** 2 / r
 
 
 def _crossing(params: FisheryParams, v, w) -> float:

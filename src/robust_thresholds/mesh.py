@@ -195,8 +195,7 @@ def threshold_ray_mesh(d: float, n_d: int, anchors) -> "ThresholdRayMesh":
             members.append(len(points))
             points.append(c)
         sweeps.append((axis, tuple(members)))
-    return ThresholdRayMesh(spacing=d, count=n_d, anchors=anchors,
-                            points=np.asarray(points), sweeps=tuple(sweeps))
+    return ThresholdRayMesh(points=np.asarray(points), sweeps=tuple(sweeps))
 
 
 @dataclass(frozen=True)
@@ -208,9 +207,6 @@ class ThresholdRayMesh:
     uses it for ordering diagnostics.
     """
 
-    spacing: float
-    count: int
-    anchors: np.ndarray
     points: np.ndarray
     sweeps: tuple
 

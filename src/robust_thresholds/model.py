@@ -15,7 +15,7 @@ clamping.  Discretization lives in ``mesh``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "IntervalControlSpace",
     "FiniteControlSpace",
     "SystemSpec",
-    "simulate",
-    "check_admissible",
     "TabularParams",
     "build_tabular_system",
 ]
@@ -171,39 +169,6 @@ def as_threshold(c, m: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("threshold entries must be finite")
     return arr
-
-
-def simulate(sys: SystemSpec, xi, controls: Sequence, scenario: Sequence):
-    """Roll the system forward; returns the trajectory (x_0 .. x_{N+1}).
-
-    Pure function of (xi, controls, scenario): replaying the output through
-    ``step`` reproduces it node by node.
-    """
-    n_stages = sys.horizon + 1
-    if len(controls) != n_stages:
-        raise ValueError(f"control path has {len(controls)} entries, expected {n_stages}")
-    if len(scenario) != n_stages:
-        raise ValueError(f"scenario path has {len(scenario)} entries, expected {n_stages}")
-    traj = [xi]
-    x = xi
-    for k in range(n_stages):
-        x = sys.step(k, x, controls[k], scenario[k])
-        traj.append(x)
-    return traj
-
-
-def check_admissible(sys: SystemSpec, xi, controls, scenario, c) -> bool:
-    """True iff every stage constraint and the terminal constraint clear c.
-
-    Antitone in c componentwise: lowering any threshold entry can only turn
-    False into True.
-    """
-    cv = as_threshold(c, sys.threshold_dim)
-    traj = simulate(sys, xi, controls, scenario)
-    for k in range(sys.horizon + 1):
-        if not np.all(sys.stage_constraint(k, traj[k], controls[k]) >= cv):
-            return False
-    return bool(np.all(sys.terminal(traj[-1]) >= cv))
 
 
 # -- built-in finite-state test system ------------------------------------

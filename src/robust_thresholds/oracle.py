@@ -6,9 +6,10 @@ the system definition itself.  They exist to check the solver, so they stay
 definitional: the closed-loop oracle evaluates the game tree, and the
 open-loop oracles search control paths against every scenario path.  The
 path search shares prefixes: each (control prefix, scenario prefix) pair is
-simulated once, through ``SystemSpec.step`` as ``simulate`` does, and a
-control prefix that can no longer win is dropped with all its extensions.
-A node-expansion budget guards against accidental exponential blowups.
+simulated once, through ``SystemSpec.step`` as the reference ``simulate`` of
+``tests/tabular_tools.py`` does, and a control prefix that can no longer win
+is dropped with all its extensions.  A node-expansion budget guards against
+accidental exponential blowups.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def exhaustive_membership(xi, c, sys: SystemSpec, controls: ControlMesh,
                           budget: OracleBudget | None = None) -> bool:
     """True iff some mesh control path is admissible against every scenario
     path: every stage and terminal constraint vector on the rollout is >= c
-    componentwise, compared definitionally as ``check_admissible`` does.
+    componentwise, compared definitionally as the reference
+    ``check_admissible`` of ``tests/tabular_tools.py`` does.
 
     Agrees with ``openloop_maximin(...) >= 0`` by construction of the slack.
     """

@@ -103,13 +103,13 @@ def weak_front(xi, mesh, sys: SystemSpec, grid: StateGrid, controls: ControlMesh
     def solve(c):
         return dp.solve_value(xi, c, sys, grid, controls, compiled=comp, reach=rch)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            values = list(ex.map(solve, points))
-    else:
-        values = [solve(c) for c in points]
-    values = np.asarray(values)
+    def solve_all(thresholds) -> np.ndarray:
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as ex:
+                return np.asarray(list(ex.map(solve, thresholds)))
+        return np.asarray([solve(c) for c in thresholds])
 
+    values = solve_all(points)
     valid = values < 0
     sources = points[valid]
     front_points = sources + values[valid][:, None]
@@ -119,17 +119,11 @@ def weak_front(xi, mesh, sys: SystemSpec, grid: StateGrid, controls: ControlMesh
             f"mesh point {c.tolist()} lies inside the sustainable set "
             f"(W = {w:.6g}); enlarge the anchors")
 
-    reval = np.full(len(front_points), np.nan)
-    if len(front_points):
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                reval = np.asarray(list(ex.map(solve, front_points)))
-        else:
-            reval = np.asarray([solve(p) for p in front_points])
-        worst = np.max(np.abs(reval)) if len(reval) else 0.0
-        if worst > tol:
-            diagnostics.append(
-                f"front revalidation residual {worst:.6g} exceeds tolerance {tol:.6g}")
+    reval = solve_all(front_points)
+    worst = np.max(np.abs(reval), initial=0.0)
+    if worst > tol:
+        diagnostics.append(
+            f"front revalidation residual {worst:.6g} exceeds tolerance {tol:.6g}")
 
     if isinstance(mesh, ThresholdRayMesh):
         _sweep_order_diagnostics(mesh, values, diagnostics)
@@ -156,7 +150,6 @@ def _sweep_order_diagnostics(mesh: ThresholdRayMesh, values: np.ndarray,
 class ConstrainedValue:
     """Result of one component-constrained maximin solve."""
 
-    component: int
     value: float
     feasible: bool
     policy: dp.FeedbackPolicy
@@ -178,11 +171,9 @@ def constrained_maximin_value(xi, component: int, c, sys: SystemSpec,
     cv = as_threshold(c, sys.threshold_dim)
     comp, rch = dp._ensure(sys, grid, controls, compiled, reach)
     stage_scores, terminal = comp.masked_component_scores(cv, component)
-    tables, policy = dp.sweep_scores(comp, rch, stage_scores, terminal,
-                                     threshold=cv, want_policy=True)
+    tables, policy = dp.sweep_scores(comp, rch, stage_scores, terminal)
     value = dp.robust_value(xi, tables)
-    return ConstrainedValue(component=component, value=value,
-                            feasible=value > dp.NEG_INF_CUTOFF,
+    return ConstrainedValue(value=value, feasible=value > dp.NEG_INF_CUTOFF,
                             policy=policy)
 
 

@@ -1,5 +1,6 @@
-"""Shared helpers: random finite-state instances, a small 2-D system and
-tiny reference recursions.
+"""Shared helpers: random finite-state instances, a small 2-D system,
+tiny reference recursions and the definitional rollout, admissibility and
+slack references the solver and oracles are checked against.
 
 The generated systems have node-to-node transitions, so nearest-node solves
 carry zero discretization error and every grid quantity can be checked
@@ -10,11 +11,57 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 import robust_thresholds as rt
 from robust_thresholds.model import as_threshold
+
+
+def simulate(sys: rt.SystemSpec, xi, controls: Sequence, scenario: Sequence):
+    """Roll the system forward; returns the trajectory (x_0 .. x_{N+1}).
+
+    Pure function of (xi, controls, scenario): replaying the output through
+    ``step`` reproduces it node by node.
+    """
+    n_stages = sys.horizon + 1
+    if len(controls) != n_stages:
+        raise ValueError(f"control path has {len(controls)} entries, expected {n_stages}")
+    if len(scenario) != n_stages:
+        raise ValueError(f"scenario path has {len(scenario)} entries, expected {n_stages}")
+    traj = [xi]
+    x = xi
+    for k in range(n_stages):
+        x = sys.step(k, x, controls[k], scenario[k])
+        traj.append(x)
+    return traj
+
+
+def check_admissible(sys: rt.SystemSpec, xi, controls, scenario, c) -> bool:
+    """True iff every stage constraint and the terminal constraint clear c.
+
+    Antitone in c componentwise: lowering any threshold entry can only turn
+    False into True.
+    """
+    cv = as_threshold(c, sys.threshold_dim)
+    traj = simulate(sys, xi, controls, scenario)
+    for k in range(sys.horizon + 1):
+        if not np.all(sys.stage_constraint(k, traj[k], controls[k]) >= cv):
+            return False
+    return bool(np.all(sys.terminal(traj[-1]) >= cv))
+
+
+def stage_slack(sys: rt.SystemSpec, k: int, x, u, c) -> float:
+    """Smallest componentwise gap g^k(x, u) - c; >= 0 iff the stage clears c."""
+    cv = as_threshold(c, sys.threshold_dim)
+    return float(np.min(sys.stage_constraint(k, x, u) - cv))
+
+
+def terminal_slack(sys: rt.SystemSpec, x, c) -> float:
+    """Smallest componentwise gap between the terminal constraint and c."""
+    cv = as_threshold(c, sys.threshold_dim)
+    return float(np.min(sys.terminal(x) - cv))
 
 
 @dataclass
@@ -145,7 +192,7 @@ def product_openloop_maximin(xi, c, sys: rt.SystemSpec, controls: rt.ControlMesh
     for upath in itertools.product(controls.values, repeat=n_stages):
         worst = np.inf
         for wpath in itertools.product(*sys.scenario_sets):
-            traj = rt.simulate(sys, xi, upath, wpath)
+            traj = simulate(sys, xi, upath, wpath)
             r = min(min(np.min(sys.stage_constraint(k, traj[k], upath[k]) - cv)
                         for k in range(n_stages)),
                     np.min(sys.terminal(traj[-1]) - cv))
@@ -161,7 +208,7 @@ def product_exhaustive_membership(xi, c, sys: rt.SystemSpec,
     """Reference open-loop membership: some control path passes
     ``check_admissible`` against every scenario path."""
     n_stages = sys.horizon + 1
-    return any(all(rt.check_admissible(sys, xi, upath, wpath, c)
+    return any(all(check_admissible(sys, xi, upath, wpath, c)
                    for wpath in itertools.product(*sys.scenario_sets))
                for upath in itertools.product(controls.values, repeat=n_stages))
 

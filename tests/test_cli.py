@@ -179,9 +179,9 @@ class TestCommands:
         if command == "membership":
             argv.append("--oracle")
         assert cli.main(argv) == 0
-        solve = cli.dp.solve_value
-        monkeypatch.setattr(cli.dp, "solve_value",
-                            lambda *a, **k: solve(*a, **k) + 1e-9)
+        read = cli.dp.robust_value
+        monkeypatch.setattr(cli.dp, "robust_value",
+                            lambda *a, **k: read(*a, **k) + 1e-9)
         assert cli.main(argv) == 1
         assert "differs from the closed-loop oracle" in capsys.readouterr().out
         # only nearest-node solves are held to the oracle
@@ -219,6 +219,38 @@ class TestCommands:
         assert cli.main(["value", "--config", str(cfgp), "--threshold", "0.5,0.5",
                          f"--jobs={jobs}"]) == 2
         assert "--jobs: must be >= 1" in capsys.readouterr().err
+
+    def test_weak_front_with_every_mesh_point_sustainable(self, tmp_path, capsys):
+        # anchors this small put the whole ray mesh inside the set
+        text = TABULAR_SMALL.replace("count: 10", "count: 2\n  anchors: [0.05, 0.05]")
+        cfgp = write_config(tmp_path, text)
+        assert cli.main(["weak-front", "--config", str(cfgp)]) == 1
+        text = capsys.readouterr().out
+        assert text.count("enlarge the anchors") == 6
+        assert "the front is empty" in text
+        out = tmp_path / "out"
+        assert (out / "front.csv").exists()
+        assert not (out / "set_membership.csv").exists()
+
+    def test_debug_export_value_tables(self, tmp_path, capsys, monkeypatch):
+        cfgp = write_config(tmp_path, TABULAR_SMALL)
+        solves = []
+        solve = cli.dp.backward_recursion
+        monkeypatch.setattr(cli.dp, "backward_recursion",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        assert cli.main(["membership", "--config", str(cfgp), "--threshold", "0.5,0.75",
+                         "--debug-export"]) == 0
+        # one sweep gives both the reported W and the exported tables
+        assert len(solves) == 1
+        report = capsys.readouterr().out
+        w = float(report.split("W(xi, c) = ")[1].split()[0])
+        body = (tmp_path / "out" / "value_tables.csv").read_text()
+        lines = [l for l in body.splitlines() if not l.startswith("#")]
+        assert lines[0] == "stage,x_1,value"
+        rows = [tuple(map(float, l.split(","))) for l in lines[1:]]
+        # stages 3 (terminal) .. 0; xi = 0 is the only stage-0 node
+        assert sorted({r[0] for r in rows}) == [0.0, 1.0, 2.0, 3.0]
+        assert [r for r in rows if r[0] == 0.0] == [(0.0, 0.0, w)]
 
     def test_debug_export_reachable_sets(self, tmp_path):
         cfgp = write_config(tmp_path, TABULAR_SMALL)

@@ -11,7 +11,8 @@ from robust_thresholds import dp, oracle
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
 from robust_thresholds.mesh import UnpopulatedNodeError, full_grid_sets
 
-from tabular_tools import plane_problem, product_problem, random_instance, solve_w
+from tabular_tools import (plane_problem, product_problem, random_instance, solve_w,
+                           stage_slack, terminal_slack)
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +28,11 @@ def fishery3():
 class TestSlacks:
     def test_stage_slack_hand_value(self, fishery3):
         sys = fishery3[0]
-        assert dp.stage_slack(sys, 0, 30.0, 4.0, [20.0, 5.0]) == -1.0
+        assert stage_slack(sys, 0, 30.0, 4.0, [20.0, 5.0]) == -1.0
 
     def test_zero_gap_when_threshold_equals_constraint(self, fishery3):
         sys = fishery3[0]
-        assert dp.stage_slack(sys, 1, 30.0, 4.0, [30.0, 4.0]) == 0.0
+        assert stage_slack(sys, 1, 30.0, 4.0, [30.0, 4.0]) == 0.0
 
     def test_single_component_reduces_to_difference(self):
         sys = rt.SystemSpec(
@@ -42,12 +43,12 @@ class TestSlacks:
             control_space=rt.IntervalControlSpace(0.0, 1.0),
             scenario_sets=((0,),),
         )
-        assert dp.stage_slack(sys, 0, 5.0, 2.0, [1.0]) == 2.0
+        assert stage_slack(sys, 0, 5.0, 2.0, [1.0]) == 2.0
 
     def test_terminal_slack_hand_value(self, fishery3):
         sys = fishery3[0]
-        assert dp.terminal_slack(sys, 12.0, [10.0, 3.0]) == 2.0
-        assert dp.terminal_slack(sys, 12.0, [12.0, 1.0e6]) == 0.0
+        assert terminal_slack(sys, 12.0, [10.0, 3.0]) == 2.0
+        assert terminal_slack(sys, 12.0, [12.0, 1.0e6]) == 0.0
 
     def test_terminal_slack_nonnegative_below_constraint(self, fishery3):
         sys = fishery3[0]
@@ -56,7 +57,7 @@ class TestSlacks:
             x = rng.uniform(0, 100)
             th = sys.terminal(x)
             c = th - rng.uniform(0, 5, size=2)
-            assert dp.terminal_slack(sys, x, c) >= 0
+            assert terminal_slack(sys, x, c) >= 0
 
 
 class TestBackwardRecursion:
@@ -74,7 +75,7 @@ class TestBackwardRecursion:
             worst = min(
                 rt.interpolate(tables[1], sys.step(0, x, u, w))
                 for w in ("a", "b"))
-            best = max(best, min(worst, dp.stage_slack(sys, 0, x, u, c)))
+            best = max(best, min(worst, stage_slack(sys, 0, x, u, c)))
         assert rt.robust_value(x, tables) == pytest.approx(best, abs=1e-12)
 
     def test_tabular_equals_game_tree_oracle(self):
@@ -124,7 +125,7 @@ class TestBackwardRecursion:
         for n in range(sys.horizon + 1):
             rows = np.flatnonzero(tables[n].populated)
             for i in rows[:: max(1, len(rows) // 17)]:
-                cap = max(dp.stage_slack(sys, n, coords[i], u, c)
+                cap = max(stage_slack(sys, n, coords[i], u, c)
                           for u in controls.values)
                 assert tables[n].values[i] <= cap + 1e-12
 
@@ -157,7 +158,7 @@ class TestBackwardRecursion:
         # nonnegative weights and out-of-box reads are capped; a step of 0
         # stands for the adjacent float
         sys, grid, controls, compiled, reach = coarse_fishery
-        assert compiled.stage(0).out_node.size
+        assert compiled.stage(0).out_pts.size
         c = np.asarray([c1, c2])
         raised = c.copy()
         raised[comp] = max(c[comp] + step, np.nextafter(c[comp], np.inf))
@@ -184,6 +185,35 @@ class TestBackwardRecursion:
         for tv, tr in zip(tables, replayed):
             # populated on the same nodes, equal bit for bit there
             assert np.array_equal(tr.values, tv.values, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.floats(0.0, 2.0),
+           st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
+    def test_horizon_nesting_on_dominated_systems(self, seed, horizon, margin, c1, c2):
+        # a terminal vector at least every stage vector of its node makes
+        # V^{N+1}_{N+1} <= theta - c = V^N_{N+1}, and one monotone stage
+        # operator carries that down to W, exactly; margin 0 is the tight case
+        rng = np.random.default_rng(seed)
+        n_states, n_controls = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        stage_values = rng.uniform(-5.0, 5.0, size=(n_states, n_controls, 2))
+        if seed % 2:
+            stage_values = np.round(stage_values)
+        terminal = stage_values.max(axis=1) + margin * rng.uniform(size=(n_states, 2))
+        params = rt.TabularParams(
+            node_coords=np.arange(n_states, dtype=float),
+            transitions=rng.integers(0, n_states, size=(n_states, n_controls, 2)),
+            stage_values=stage_values, terminal_values=terminal)
+        grid = rt.StateGrid(lower=[0.0], upper=[n_states - 1.0], counts=[n_states])
+        controls = rt.ControlMesh(tuple(range(n_controls)))
+        xi = float(rng.integers(0, n_states))
+        w = []
+        for n in (horizon, horizon + 1):
+            sys = rt.build_tabular_system(params, horizon=n)
+            compiled = rt.compile_system(sys, grid, controls, interp="nearest")
+            reach = rt.build_reachable_sets(xi, grid, sys, controls, compiled=compiled)
+            w.append(rt.solve_value(xi, [c1, c2], sys, grid, controls,
+                                    compiled=compiled, reach=reach))
+        assert w[1] <= w[0]
 
     def test_bitwise_deterministic_across_runs(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
@@ -584,8 +614,9 @@ class TestOutOfBoxReads:
                     if not 0.0 <= y <= 120.0:
                         expected.append((i, j, y))
         assert expected
-        got = zip(sa.out_node.tolist(), sa.out_u.tolist(), sa.out_pts[:, 0].tolist())
-        assert sorted(got) == sorted(expected)
+        # sorted by node; the (node, control) pairing is checked by
+        # ``assert_caps_folded``
+        assert sa.out_pts[:, 0].tolist() == [y for _, _, y in expected]
 
     @staticmethod
     def reference_vectors(sys, grid, controls, n):
@@ -649,7 +680,7 @@ class TestOutOfBoxReads:
         for _ in range(5):
             inst = random_instance(rng)
             for n in range(inst.sys.horizon + 1):
-                assert len(inst.compiled.stage(n).out_node) == 0
+                assert len(inst.compiled.stage(n).out_pts) == 0
 
 
 class TestRobustValueAndMembership:

@@ -1,10 +1,12 @@
-"""The package's modules import each other without a cycle.
+"""The package's modules import each other without a cycle, and every
+name they export exists.
 
 Every import counts, also one inside a function body: a lazy import hides a
 cycle from the interpreter but not from the design.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = "robust_thresholds"
@@ -65,3 +67,15 @@ def test_package_import_graph_is_acyclic():
     # the parse sees the edges there are
     assert graph["cli"] >= {"dp", "pareto", "mesh", "config"}
     assert find_cycle(graph) == []
+
+
+def test_every_export_resolves():
+    # a name removed from a module must leave its ``__all__`` lists too
+    package = importlib.import_module(PACKAGE)
+    modules = [package] + [importlib.import_module(f"{PACKAGE}.{m}")
+                           for m in sorted(MODULES - {"__init__"})]
+    for mod in modules:
+        exports = getattr(mod, "__all__", [])
+        assert len(set(exports)) == len(exports), mod.__name__
+        missing = [name for name in exports if not hasattr(mod, name)]
+        assert missing == [], mod.__name__

@@ -13,8 +13,7 @@ from tabular_tools import exact_reachable_nodes, random_instance
 def table_1d(grid, values, populated=None, interp="multilinear"):
     vals = np.asarray(values, dtype=float)
     pop = np.ones(len(vals), dtype=bool) if populated is None else populated
-    return ValueTable(stage=0, threshold=None, grid=grid, values=vals,
-                      populated=pop, interp=interp)
+    return ValueTable(stage=0, grid=grid, values=vals, populated=pop, interp=interp)
 
 
 class TestInterpolate:
@@ -50,7 +49,7 @@ class TestInterpolate:
 
     def test_two_dimensional_bilinear(self):
         grid = rt.StateGrid(lower=[0.0, 0.0], upper=[1.0, 1.0], counts=[2, 2])
-        t = ValueTable(stage=0, threshold=None, grid=grid,
+        t = ValueTable(stage=0, grid=grid,
                        values=np.asarray([0.0, 1.0, 2.0, 3.0]),
                        populated=np.ones(4, dtype=bool))
         assert rt.interpolate(t, [0.5, 0.5]) == pytest.approx(1.5, abs=1e-15)

@@ -7,6 +7,8 @@ from robust_thresholds.fishery import FisheryParams, build_fishery_system
 from robust_thresholds.model import (IntervalControlSpace, _node_index, _NodeLookup,
                                      as_threshold)
 
+from tabular_tools import check_admissible, simulate
+
 
 @pytest.fixture
 def fishery():
@@ -79,36 +81,36 @@ class TestConstraints:
 class TestSimulate:
     def test_fixed_point_at_capacity(self, fishery):
         sys = build_fishery_system(FisheryParams.default(), horizon=0)
-        traj = rt.simulate(sys, 50.0, [0.0], ["b"])
+        traj = simulate(sys, 50.0, [0.0], ["b"])
         assert traj == [50.0, 50.0]
 
     def test_hand_chained_two_steps(self):
         sys = build_fishery_system(FisheryParams.default(), horizon=1)
-        traj = rt.simulate(sys, 25.0, [5.0, 0.0], ["b", "b"])
+        traj = simulate(sys, 25.0, [5.0, 0.0], ["b", "b"])
         f_32_5 = 3 * 32.5 / (1 + 32.5 / 25)
         np.testing.assert_allclose(traj, [25.0, 32.5, f_32_5], atol=1e-12)
 
     def test_replaying_through_step_reproduces(self, fishery):
         controls = [3.0, 1.0, 0.0, 2.0]
         scen = ["a", "b", "a", "a"]
-        traj = rt.simulate(fishery, 40.0, controls, scen)
+        traj = simulate(fishery, 40.0, controls, scen)
         for k in range(4):
             assert fishery.step(k, traj[k], controls[k], scen[k]) == traj[k + 1]
 
     def test_length_mismatch(self, fishery):
         with pytest.raises(ValueError, match="control path"):
-            rt.simulate(fishery, 40.0, [0.0], ["a", "a", "a", "a"])
+            simulate(fishery, 40.0, [0.0], ["a", "a", "a", "a"])
         with pytest.raises(ValueError, match="scenario path"):
-            rt.simulate(fishery, 40.0, [0.0] * 4, ["a"])
+            simulate(fishery, 40.0, [0.0] * 4, ["a"])
 
 
 class TestAdmissibility:
     def test_zero_thresholds_admit_no_harvest(self, fishery):
         for scen in (["a"] * 4, ["b"] * 4, ["a", "b", "a", "b"]):
-            assert rt.check_admissible(fishery, 50.0, [0.0] * 4, scen, [0.0, 0.0])
+            assert check_admissible(fishery, 50.0, [0.0] * 4, scen, [0.0, 0.0])
 
     def test_huge_threshold_component_fails(self, fishery):
-        assert not rt.check_admissible(fishery, 50.0, [0.0] * 4, ["a"] * 4,
+        assert not check_admissible(fishery, 50.0, [0.0] * 4, ["a"] * 4,
                                        [1e12, 0.0])
 
     def test_negative_thresholds_admit_any_rollout(self, fishery):
@@ -116,10 +118,10 @@ class TestAdmissibility:
         for _ in range(10):
             controls = rng.uniform(0, 40, size=4)
             scen = rng.choice(["a", "b"], size=4)
-            traj = rt.simulate(fishery, 60.0, controls, scen)
+            traj = simulate(fishery, 60.0, controls, scen)
             if min(traj) < -1.0:  # harvesting may overshoot the stock
                 continue
-            assert rt.check_admissible(fishery, 60.0, controls, scen, [-1.0, -1.0])
+            assert check_admissible(fishery, 60.0, controls, scen, [-1.0, -1.0])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -134,8 +136,8 @@ class TestAdmissibility:
         upper = np.asarray([c1, c2])
         lower = upper.copy()
         lower[pick] -= drop
-        if rt.check_admissible(sys, 50.0, controls, scen, upper):
-            assert rt.check_admissible(sys, 50.0, controls, scen, lower)
+        if check_admissible(sys, 50.0, controls, scen, upper):
+            assert check_admissible(sys, 50.0, controls, scen, lower)
 
 
 class TestTabular:

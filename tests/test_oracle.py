@@ -6,7 +6,7 @@ from robust_thresholds import oracle
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
 
 from tabular_tools import (product_exhaustive_membership, product_openloop_maximin,
-                           product_problem, random_instance)
+                           product_problem, random_instance, simulate)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ class TestClosedLoop:
                                    scenarios=("b",))
         controls = rt.ControlMesh((5.0,))
         c = np.asarray([3.0, 4.0])
-        traj = rt.simulate(sys, 40.0, [5.0] * 3, ["b"] * 3)
+        traj = simulate(sys, 40.0, [5.0] * 3, ["b"] * 3)
         want = min(min(float(np.min(sys.stage_constraint(k, traj[k], 5.0) - c))
                        for k in range(3)),
                    float(np.min(sys.terminal(traj[-1]) - c)))
