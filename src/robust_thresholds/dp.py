@@ -65,6 +65,10 @@ system, and a fresh block per sweep faults in megabytes of new pages on
 every solve.  The slack scores, built before a sweep, take their
 per-component differences through the same buffer.
 
+A sweep writes one (N+2, n_nodes) array: row n is V_n, NaN on every node
+outside R_n, so NaN alone marks the unpopulated nodes of a table, and the
+tables it returns are views of its rows.
+
 An optimizing sweep stops at a fixed point.  Say stages 0..n share one
 stage table and one score array, the reachable sets are nested, R_0 <=
 R_1 <= ... <= R_{n+1}, and closed under the compiled system: every
@@ -76,10 +80,10 @@ and, with a policy, stage n's choices there.  By induction each skipped
 stage reads only values on which V_n and V_{n+1} agree, through the same
 operator and scores, and the kernel's float operations on a row do not
 depend on the other rows swept, so each filled table is bitwise the one
-the loop computes.  What depends only on the compiled system or the
-reach is found once (``CompiledSystem._shared``, ``ReachableSets.nested``
-and ``closed_under``), so a sweep that never stops pays one comparison
-per eligible stage.  Policy evaluation runs every stage.
+the loop computes.  The loop tests all of this in one expression after
+each stage, the identity and reach checks before the comparison of
+values, so a sweep that never stops pays one comparison per eligible
+stage.  Policy evaluation runs every stage.
 
 Everything here is deterministic: control ties resolve to the lowest mesh
 index, so repeated runs reproduce tables bitwise.
@@ -122,8 +126,11 @@ class ValueTable:
     stage: int
     grid: StateGrid
     values: np.ndarray
-    populated: np.ndarray
     interp: str = "multilinear"
+
+    @property
+    def populated(self) -> np.ndarray:
+        return ~np.isnan(self.values)
 
 
 @dataclass
@@ -195,10 +202,6 @@ class CompiledSystem:
         else:
             self._stages = [self._fold_caps(*self._build_stage(k), k)
                             for k in range(horizon + 1)]
-        # stages 0.._shared-1 are one object: the prefix an optimizing
-        # sweep may fill from a fixed point (``_sweep``)
-        self._shared = next((k for k, sa in enumerate(self._stages)
-                             if sa is not self._stages[0]), horizon + 1)
         self.theta_vals = self._terminal_at(self._nodes)
         # per control, the stage kernel's scratch at its largest stage: the
         # gathered corners of every (row, scenario) and one result per row
@@ -418,24 +421,17 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
     control: the kernel then sees a control axis of length one, and the
     max over it evaluates the policy.
     """
-    sys, grid, interp = compiled.sys, compiled.grid, compiled.interp
+    sys, grid = compiled.sys, compiled.grid
     n_nodes = grid.n_nodes
-    tables: list[ValueTable] = [None] * (sys.horizon + 2)  # type: ignore[list-item]
+    T = np.full((sys.horizon + 2, n_nodes), np.nan)
     choices = (np.full((sys.horizon + 1, n_nodes), -1, dtype=np.int32)
                if want_policy else None)
     rows = reach.selectors[sys.horizon + 1]
-    V = np.full(n_nodes, np.nan)
-    V[rows] = terminal_score[rows]
-    tables[sys.horizon + 1] = ValueTable(sys.horizon + 1, grid, V, ~np.isnan(V), interp)
+    T[-1, rows] = terminal_score[rows]
     buf = compiled._scratch(len(compiled.controls) if fixed is None else 1)
-    # V_n == V_{n+1} may end an optimizing sweep at the stages 1..top that
-    # share stage 0's table with nested sets closed under ``compiled``
-    # (module docstring); the score arrays are checked when it happens
-    top = 0
-    if fixed is None and (reach.full or reach.closed_under is compiled):
-        top = min(compiled._shared, reach.nested - 1) - 1
+    closed = fixed is None and (reach.full or reach.closed_under is compiled)
     for n in range(sys.horizon, -1, -1):
-        rows, sa = reach.selectors[n], compiled.stage(n)
+        rows, sa, scores = reach.selectors[n], compiled.stage(n), stage_scores[n]
         if fixed is None:
             cells = (rows,)
         else:
@@ -447,28 +443,24 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
             cells = (np.arange(n_nodes)[rows], p, None)
         # a single corner has weight 1 and the kernel never reads it
         cw = sa.corner_w[cells] if len(sa.offsets) > 1 else None
-        q = _stage_kernel(V, sa.base[cells], cw, sa.offsets,
-                          stage_scores[n][cells], buf)
+        q = _stage_kernel(T[n + 1], sa.base[cells], cw, sa.offsets, scores[cells], buf)
         vals = q.max(axis=-1)
         if np.isnan(vals).any():
             raise UnpopulatedNodeError(
                 f"stage-{n} sweep touched unpopulated next-stage nodes")
         if want_policy:
             choices[n][rows] = q.argmax(axis=-1)
-        stop = (0 < n <= top and vals.tobytes() == V[rows].tobytes()
-                and all(stage_scores[j] is stage_scores[n] for j in range(n)))
-        V = np.full(n_nodes, np.nan)
-        V[rows] = vals
-        # no value on R_n is NaN, so R_n is exactly the populated set
-        tables[n] = ValueTable(n, grid, V, reach.masks[n].copy(), interp)
-        if stop:
-            below = reach.masks[:n]
-            for j, Vj in enumerate(np.where(below, V, np.nan)):
-                tables[j] = ValueTable(j, grid, Vj, below[j].copy(), interp)
+        T[n, rows] = vals
+        # the fixed-point exit (module docstring)
+        if (closed and 0 < n <= reach.nested - 2
+                and all(compiled.stage(j) is sa and stage_scores[j] is scores
+                        for j in range(n))
+                and vals.tobytes() == T[n + 1, rows].tobytes()):
+            np.copyto(T[:n], T[n], where=reach.masks[:n])
             if want_policy:
-                np.copyto(choices[:n], choices[n], where=below)
+                np.copyto(choices[:n], choices[n], where=reach.masks[:n])
             break
-    return tables, choices
+    return [ValueTable(n, grid, T[n], compiled.interp) for n in range(len(T))], choices
 
 
 def sweep_scores(compiled: CompiledSystem, reach: ReachableSets,

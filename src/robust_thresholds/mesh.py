@@ -325,15 +325,17 @@ def build_reachable_sets(xi, grid: StateGrid, sys: SystemSpec, controls: Control
 def interpolate(table, x) -> float:
     """Value of a populated node table at state x (clamped into the box).
 
-    ``table`` needs attributes grid / values / populated / interp (see
+    ``table`` needs attributes grid / values / interp (see
     ``dp.ValueTable``); with interp "nearest" the nearest node's value is
-    returned.  Touching an unpopulated node raises UnpopulatedNodeError.
+    returned.  Touching an unpopulated (NaN) node raises
+    UnpopulatedNodeError.
     """
     grid: StateGrid = table.grid
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     idx, wts = grid.locate(pts, mode=table.interp)
-    if not np.all(table.populated[idx]):
+    corners = table.values[idx]
+    if np.isnan(corners).any():
         raise UnpopulatedNodeError(
             f"query at {x!r} touches unpopulated nodes of stage-{table.stage} table")
-    out = (table.values[idx] * wts).sum(axis=-1)
+    out = (corners * wts).sum(axis=-1)
     return float(out[0]) if np.ndim(x) <= 1 and np.asarray(x).size == grid.dim else out

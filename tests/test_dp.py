@@ -397,9 +397,9 @@ class TestFixedPointExit:
     @staticmethod
     def assert_reference(compiled, reach, scores, terminal, tables, policy):
         values, choices = _reference_sweep(compiled, reach, scores, terminal)
-        for t, v in zip(tables, values):
+        for n, (t, v) in enumerate(zip(tables, values)):
             assert np.array_equal(t.values, v, equal_nan=True)
-            assert np.array_equal(t.populated, ~np.isnan(v))
+            assert np.array_equal(t.populated, reach.masks[n])
         assert policy.choices.dtype == np.int32
         assert np.array_equal(policy.choices, choices)
 

@@ -10,10 +10,9 @@ from robust_thresholds.mesh import UnpopulatedNodeError, full_grid_sets
 from tabular_tools import exact_reachable_nodes, random_instance
 
 
-def table_1d(grid, values, populated=None, interp="multilinear"):
-    vals = np.asarray(values, dtype=float)
-    pop = np.ones(len(vals), dtype=bool) if populated is None else populated
-    return ValueTable(stage=0, grid=grid, values=vals, populated=pop, interp=interp)
+def table_1d(grid, values, interp="multilinear"):
+    return ValueTable(stage=0, grid=grid, values=np.asarray(values, dtype=float),
+                      interp=interp)
 
 
 class TestInterpolate:
@@ -41,8 +40,7 @@ class TestInterpolate:
         assert rt.interpolate(t, 0.5) == 1.0  # midpoint goes to the upper node
 
     def test_unpopulated_query_raises(self):
-        pop = np.asarray([True, True, False, True, True])
-        t = table_1d(self.grid, [1.0, 1.0, np.nan, 1.0, 1.0], populated=pop)
+        t = table_1d(self.grid, [1.0, 1.0, np.nan, 1.0, 1.0])
         with pytest.raises(UnpopulatedNodeError):
             rt.interpolate(t, 1.5)
         assert rt.interpolate(t, 0.5) == 1.0
@@ -50,8 +48,7 @@ class TestInterpolate:
     def test_two_dimensional_bilinear(self):
         grid = rt.StateGrid(lower=[0.0, 0.0], upper=[1.0, 1.0], counts=[2, 2])
         t = ValueTable(stage=0, grid=grid,
-                       values=np.asarray([0.0, 1.0, 2.0, 3.0]),
-                       populated=np.ones(4, dtype=bool))
+                       values=np.asarray([0.0, 1.0, 2.0, 3.0]))
         assert rt.interpolate(t, [0.5, 0.5]) == pytest.approx(1.5, abs=1e-15)
         assert rt.interpolate(t, [0.0, 1.0]) == 1.0
         assert rt.interpolate(t, [1.0, 0.0]) == 2.0
