@@ -152,22 +152,29 @@ def cmd_weak_front(args) -> int:
             for i in range(len(front))]
     _write(out / "front.csv", header, cols, rows)
 
+    # a file this run does not write is removed, so no earlier run's copy
+    # sits beside outputs it does not belong to
     notes = list(front.diagnostics)
     if len(front):
         _write(out / "set_membership.csv", header,
                [f"c_{j + 1}" for j in range(m)] + ["member"],
                [(*c, int(flag)) for c, flag in _membership_sample(front, problem)])
     else:
+        (out / "set_membership.csv").unlink(missing_ok=True)
         notes.append("the front is empty, so set_membership.csv is not written")
 
     if cfg.model_kind == "fishery-beverton-holt":
         _write_analytic(out / "analytic_fishery.csv", header, problem)
+    else:
+        (out / "analytic_fishery.csv").unlink(missing_ok=True)
     _emit_plot_script(out)
 
     if getattr(args, "debug_export", False):
         _write(out / "reachable_sets.csv", header,
                ["stage", "node", *(f"x_{d + 1}" for d in range(problem.grid.dim))],
                reach.to_rows())
+    else:
+        (out / "reachable_sets.csv").unlink(missing_ok=True)
 
     for note in notes:
         print(f"warning: {note}")
@@ -176,8 +183,8 @@ def cmd_weak_front(args) -> int:
           f"max revalidation residual {front.max_residual:.3g} "
           f"(tolerance {front.front_tol:.3g})")
     print(f"wrote {out / 'front.csv'}")
-    hard = [d for d in front.diagnostics if "residual" in d or "decreases" in d]
-    return 1 if hard or not len(front) else 0
+    # an empty front has skipped every mesh point, so it has diagnostics too
+    return 1 if front.diagnostics else 0
 
 
 def _membership_sample(front: pareto.FrontResult, problem: Problem,
@@ -309,6 +316,8 @@ def cmd_membership(args) -> int:
         _write(out / "value_tables.csv", _header("membership", problem),
                ["stage", *(f"x_{d + 1}" for d in range(problem.grid.dim)), "value"],
                rows)
+    else:
+        (out / "value_tables.csv").unlink(missing_ok=True)
     return 1 if disagreement else 0
 
 

@@ -216,6 +216,20 @@ class TabularParams:
             raise ValueError("transition indices out of range")
         if self.terminal_values.shape[0] != n or self.terminal_values.ndim != 2:
             raise ValueError("terminal_values must have shape (X, m)")
+        t, g = self.transitions.shape, self.stage_values.shape
+        if t[-3] != n or g[-3] != n:
+            raise ValueError(f"transitions {t} and stage_values {g} must both "
+                             f"cover the {n} states of node_coords")
+        if t[-2] != g[-2]:
+            raise ValueError(f"transitions {t} and stage_values {g} disagree "
+                             f"on the number of controls")
+        if len(t) == len(g) == 4 and t[0] != g[0]:
+            raise ValueError(f"transitions {t} and stage_values {g} disagree "
+                             f"on the number of stages")
+        if g[-1] != self.terminal_values.shape[1]:
+            raise ValueError(f"stage_values {g} and terminal_values "
+                             f"{self.terminal_values.shape} disagree on the "
+                             f"number of constraint components")
 
     @property
     def n_controls(self) -> int:

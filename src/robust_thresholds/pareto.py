@@ -61,7 +61,7 @@ class FrontResult:
     points: np.ndarray        # (P, m) projected front points
     sources: np.ndarray       # (P, m) originating mesh thresholds
     values: np.ndarray        # (P,) W at each source (all < 0)
-    revalidated: np.ndarray   # (P,) W at each projected point (NaN if skipped)
+    revalidated: np.ndarray   # (P,) W at each projected point
     skipped_sources: np.ndarray  # (S, m) mesh points with W >= 0, not projected
     skipped_values: np.ndarray   # (S,)
     front_tol: float
@@ -72,8 +72,9 @@ class FrontResult:
 
     @property
     def max_residual(self) -> float:
-        vals = self.revalidated[~np.isnan(self.revalidated)]
-        return float(np.max(np.abs(vals))) if len(vals) else float("nan")
+        """max |W| over the projected points; NaN for an empty front."""
+        reval = self.revalidated
+        return float(np.max(np.abs(reval))) if len(reval) else float("nan")
 
     def contains(self, query, tol: float = 0.0) -> bool:
         """Membership in front + lower cone: query <= some front point."""
