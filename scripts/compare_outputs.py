@@ -1,0 +1,117 @@
+"""Byte-for-byte comparison of the CLI outputs of two commits.
+
+    python3 scripts/compare_outputs.py --parent 449aa5b --change HEAD
+
+Each commit is exported with ``git archive`` (``bench_pairs.export``) into
+its own directory under a temporary one.  In each export the same list of
+CLI invocations (``RUNS``) runs from the export's root, with the same
+configuration files and the same relative ``--out``, so the embedded
+configuration headers agree too.  Every output file, stdout, stderr or
+exit code that differs between the two sides is printed; the exit code is
+1 on any difference, else 0.  The default ``weak-front`` takes about half
+a minute per side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import export
+
+CONFIGS = {
+    "default.yaml": """\
+model: {kind: fishery-beverton-holt}
+horizon: 50
+initial_state: 60.0
+""",
+    "coarse.yaml": """\
+model: {kind: fishery-beverton-holt}
+horizon: 8
+initial_state: 60.0
+state_grid: {nodes: [121]}
+control_mesh: {count: 41}
+""",
+    "tabular.yaml": """\
+model:
+  kind: tabular
+  transitions: [[[0, 1], [1, 1]], [[1, 0], [0, 1]]]
+  stage_values: [[[1.0, 2.0], [0.5, 3.0]], [[2.0, 1.0], [1.5, 0.0]]]
+  terminal_values: [[5.0, 5.0], [5.0, 5.0]]
+horizon: 2
+initial_state: 0
+ray_mesh: {spacing: 0.5, count: 10}
+options: {interpolation: nearest}
+""",
+}
+
+# (name, command, config, extra arguments); each writes to out/<name>
+RUNS = (
+    ("weak-front-default", "weak-front", "default.yaml", ()),
+    ("strong-front-coarse", "strong-front", "coarse.yaml",
+     ("--start", "10,2", "--perm", "all")),
+    ("membership-tabular", "membership", "tabular.yaml",
+     ("--threshold", "0.5,0.75", "--debug-export")),
+    ("membership-coarse", "membership", "coarse.yaml",
+     ("--threshold", "10,2", "--debug-export")),
+    ("weak-front-tabular", "weak-front", "tabular.yaml", ("--debug-export",)),
+    ("analytic-fishery", "analytic-fishery", "default.yaml", ()),
+)
+
+
+def run_all(checkout: Path) -> dict:
+    """{(run, item): bytes} of every output file, stdout, stderr and exit
+    code of ``RUNS`` in ``checkout``."""
+    (checkout / "configs").mkdir()
+    for name, text in CONFIGS.items():
+        (checkout / "configs" / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH="src")
+    outputs = {}
+    for name, command, config, extra in RUNS:
+        out = Path("out") / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "robust_thresholds.cli", command,
+             "--config", f"configs/{config}", "--out", str(out), *extra],
+            cwd=checkout, env=env, capture_output=True)
+        outputs[(name, "exit code")] = str(proc.returncode).encode()
+        outputs[(name, "stdout")] = proc.stdout
+        outputs[(name, "stderr")] = proc.stderr
+        for path in sorted((checkout / out).rglob("*")):
+            if path.is_file():
+                outputs[(name, str(path.relative_to(checkout / out)))] = path.read_bytes()
+    return outputs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="commit of the parent side")
+    ap.add_argument("--change", required=True, help="commit of the change side")
+    ap.add_argument("--work", type=Path, default=None,
+                    help="directory for the exports (default: a temporary one)")
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(dir=args.work, prefix="compare-outputs-") as work:
+        sides = {}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            checkout = Path(work) / side
+            commit = export(rev, checkout)
+            print(f"{side}: {commit}", flush=True)
+            sides[side] = run_all(checkout)
+    parent, change = sides["parent"], sides["change"]
+    differ = [key for key in sorted(parent.keys() | change.keys())
+              if parent.get(key) != change.get(key)]
+    for name, item in differ:
+        state = ("only in the parent" if (name, item) not in change else
+                 "only in the change" if (name, item) not in parent else "differs")
+        print(f"{name}: {item} {state}")
+    print(f"{len(RUNS)} runs, {len(parent)} items: "
+          f"{len(differ) or 'no'} difference{'' if len(differ) == 1 else 's'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

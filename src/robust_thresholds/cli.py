@@ -311,8 +311,10 @@ def cmd_membership(args) -> int:
         _header("membership", problem) + report + "\n")
     if getattr(args, "debug_export", False):
         coords = problem.grid.node_coordinates()
-        rows = [(t.stage, *coords[i], t.values[i])
-                for t in tables for i in np.flatnonzero(t.populated)]
+        rows = []
+        for t in tables:
+            for i in np.flatnonzero(t.populated):
+                rows.append((t.stage, *coords[i], t.values[i]))
         _write(out / "value_tables.csv", _header("membership", problem),
                ["stage", *(f"x_{d + 1}" for d in range(problem.grid.dim)), "value"],
                rows)

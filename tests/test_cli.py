@@ -4,6 +4,7 @@ import pytest
 from robust_thresholds import cli
 from robust_thresholds.config import (ConfigError, build_problem, parse_config,
                                       serialize)
+from robust_thresholds.mesh import ThresholdRayMesh
 
 FISHERY_SMALL = """
 model:
@@ -231,6 +232,76 @@ class TestCommands:
         out = tmp_path / "out"
         assert (out / "front.csv").exists()
         assert not (out / "set_membership.csv").exists()
+
+    def test_weak_front_with_skipped_mesh_points_is_exit_code_1(self, tmp_path, capsys):
+        # the six points with a coordinate at most 0.05 are sustainable, so
+        # the front misses their rays
+        text = TABULAR_SMALL.replace("count: 10", "count: 10\n  anchors: [0.05, 0.05]")
+        cfgp = write_config(tmp_path, text)
+        assert cli.main(["weak-front", "--config", str(cfgp)]) == 1
+        text = capsys.readouterr().out
+        assert text.count("enlarge the anchors") == 6
+        assert "front: 16 points (6 mesh points skipped)" in text
+        assert (tmp_path / "out" / "set_membership.csv").exists()
+
+    def test_front_revalidation_residual_is_exit_code_1(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, FISHERY_SMALL + "tolerances:\n  front: 0.0\n")
+        assert cli.main(["weak-front", "--config", str(cfgp)]) == 1
+        assert "front revalidation residual" in capsys.readouterr().out
+
+    def test_decreasing_sweep_coordinate_is_exit_code_1(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the same mesh with every sweep listed in decreasing swept coordinate
+        weak_front = cli.pareto.weak_front
+
+        def reversed_sweeps(xi, mesh, *args, **kwargs):
+            flipped = ThresholdRayMesh(points=mesh.points, sweeps=tuple(
+                (axis, members[::-1]) for axis, members in mesh.sweeps))
+            return weak_front(xi, flipped, *args, **kwargs)
+
+        cfgp = write_config(tmp_path, FISHERY_SMALL)
+        monkeypatch.setattr(cli.pareto, "weak_front", reversed_sweeps)
+        assert cli.main(["weak-front", "--config", str(cfgp)]) == 1
+        assert "decreases along its sweep" in capsys.readouterr().out
+
+    def test_weak_front_removes_the_outputs_it_does_not_write(self, tmp_path):
+        out = tmp_path / "out"
+        fishery = write_config(tmp_path, FISHERY_SMALL, name="fishery.yaml")
+        assert cli.main(["weak-front", "--config", str(fishery), "--debug-export"]) == 0
+        names = ("set_membership.csv", "analytic_fishery.csv", "reachable_sets.csv")
+        assert all((out / name).exists() for name in names)
+        # a tabular model, no --debug-export and an empty front: none of the three
+        text = TABULAR_SMALL.replace("count: 10", "count: 0\n  anchors: [0.05, 0.05]")
+        tabular = write_config(tmp_path, text, name="tabular.yaml")
+        assert cli.main(["weak-front", "--config", str(tabular)]) == 1
+        assert not any((out / name).exists() for name in names)
+        assert (out / "front.csv").read_text().startswith("# robust-thresholds weak-front")
+
+    def test_membership_removes_value_tables_without_debug_export(self, tmp_path):
+        cfgp = write_config(tmp_path, TABULAR_SMALL)
+        argv = ["membership", "--config", str(cfgp), "--threshold", "0.5,0.75"]
+        assert cli.main(argv + ["--debug-export"]) == 0
+        assert (tmp_path / "out" / "value_tables.csv").exists()
+        assert cli.main(argv) == 0
+        assert not (tmp_path / "out" / "value_tables.csv").exists()
+
+    @pytest.mark.parametrize("model, names", [
+        # three states and three controls of stage values for two of each
+        ("stage_values: [[[1, 1], [1, 1], [1, 1]], [[1, 1], [1, 1], [1, 1]],"
+         " [[1, 1], [1, 1], [1, 1]]]", "transitions .* and stage_values"),
+        # three constraint components against two terminal ones
+        ("stage_values: [[[1, 1, 1], [1, 1, 1]], [[1, 1, 1], [1, 1, 1]]]",
+         "stage_values .* and terminal_values"),
+    ])
+    def test_mismatched_tabular_tables_are_exit_code_2(self, tmp_path, capsys, model,
+                                                       names):
+        text = TABULAR_SMALL.replace(
+            "stage_values: [[[1.0, 2.0], [0.5, 3.0]], [[2.0, 1.0], [1.5, 0.0]]]", model)
+        cfgp = write_config(tmp_path, text)
+        assert cli.main(["value", "--config", str(cfgp), "--threshold=0,0"]) == 2
+        assert capsys.readouterr().err.startswith("error: model: ")
+        with pytest.raises(ConfigError, match=f"model: {names}"):
+            parse_config(text.format(out=tmp_path))
 
     def test_debug_export_value_tables(self, tmp_path, capsys, monkeypatch):
         cfgp = write_config(tmp_path, TABULAR_SMALL)

@@ -161,6 +161,25 @@ class TestTabular:
                 terminal_values=np.zeros((3, 2)),
             )
 
+    @pytest.mark.parametrize("transitions, stage_values, terminal_values, names", [
+        # states: both tables must cover the three nodes
+        ((2, 2, 2), (3, 2, 2), (3, 2), "transitions .* and stage_values"),
+        ((3, 2, 2), (2, 2, 2), (3, 2), "transitions .* and stage_values"),
+        # controls
+        ((3, 2, 2), (3, 3, 2), (3, 2), "transitions .* and stage_values .* controls"),
+        # stages, where both tables are per stage
+        ((2, 3, 2, 2), (3, 3, 2, 2), (3, 2), "transitions .* and stage_values .* stages"),
+        # constraint components
+        ((3, 2, 2), (3, 2, 3), (3, 2), "stage_values .* and terminal_values"),
+    ])
+    def test_mismatched_tables_rejected(self, transitions, stage_values,
+                                        terminal_values, names):
+        with pytest.raises(ValueError, match=names):
+            rt.TabularParams(node_coords=np.arange(3.0),
+                             transitions=np.zeros(transitions, dtype=int),
+                             stage_values=np.zeros(stage_values),
+                             terminal_values=np.zeros(terminal_values))
+
     def test_per_stage_tables_mark_time_varying(self):
         params = rt.TabularParams(
             node_coords=np.arange(3.0),

@@ -5,6 +5,7 @@ import pytest
 
 import robust_thresholds as rt
 from robust_thresholds import dp, oracle, pareto
+from robust_thresholds.mesh import ThresholdRayMesh
 
 from tabular_tools import (PLANE_XI, bisect_level, plane_problem, random_instance,
                            solve_w, tree_constrained_value, tree_policy_threshold)
@@ -385,6 +386,31 @@ class TestFisherySmoke:
         assert np.all(np.diff(chain.chain, axis=0) >= -1e-9)
         assert rt.membership(60.0, chain.endpoint, sys, grid, controls, tol=1e-9,
                              compiled=compiled, reach=reach)
+
+    def test_revalidation_residual_beyond_tolerance_is_diagnosed(self, coarse_fishery):
+        # multilinear solves revalidate to about 1e-14, not to exact zero
+        sys, grid, controls, compiled, reach = coarse_fishery
+        mesh = rt.threshold_ray_mesh(25.0, 4, [130.0, 60.0])
+        front = pareto.weak_front(60.0, mesh, sys, grid, controls, front_tol=0.0,
+                                  compiled=compiled, reach=reach)
+        assert len(front) == len(mesh)
+        assert 0.0 < front.max_residual < 1e-12
+        assert front.diagnostics == [
+            f"front revalidation residual {front.max_residual:.6g} exceeds tolerance 0"]
+
+    def test_decreasing_sweep_coordinate_is_diagnosed(self, coarse_fishery):
+        sys, grid, controls, compiled, reach = coarse_fishery
+        points = np.asarray([[0.0, 60.0], [50.0, 60.0], [100.0, 60.0]])
+        # the projected stock floors rise with the source's; listed in
+        # reverse, the sweep decreases
+        for members, diagnosed in (((0, 1, 2), 0), ((2, 1, 0), 1)):
+            mesh = ThresholdRayMesh(points=points, sweeps=((0, members),))
+            front = pareto.weak_front(60.0, mesh, sys, grid, controls,
+                                      compiled=compiled, reach=reach)
+            assert len(front) == len(points)
+            assert np.all(np.diff(front.points[:, 0]) > 0)
+            assert len(front.diagnostics) == diagnosed
+        assert "projected coordinate 0 decreases along its sweep" in front.diagnostics[0]
 
     def test_threaded_front_equals_serial_front(self, coarse_fishery):
         sys, grid, controls, compiled, reach = coarse_fishery
