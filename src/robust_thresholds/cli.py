@@ -264,13 +264,18 @@ def cmd_strong_front(args) -> int:
         perm = tuple(int(v) - 1 for v in args.perm.split(","))
         perms = [perm]
     out = Path(cfg.output_dir)
+    labels = ["-".join(str(i + 1) for i in perm) for perm in perms]
+    # a chain of an earlier run whose permutation this run does not walk
+    written = {f"strong_chain_{label}.csv" for label in labels}
+    for path in out.glob("strong_chain_*.csv"):
+        if path.name not in written:
+            path.unlink()
     header = _header("strong-front", problem)
     failed = False
-    for perm in perms:
+    for perm, label in zip(perms, labels):
         chain = pareto.strong_pareto_point(
             problem.xi, c0, perm, problem.sys, problem.grid, problem.controls,
             compiled=compiled, reach=reach, membership_tol=cfg.membership_tol)
-        label = "-".join(str(i + 1) for i in perm)
         cols = (["i", "sigma_i"] + [f"c_{j + 1}" for j in range(m)] + ["value"])
         rows = [(0, "", *chain.chain[0], float("nan"))]
         for i in range(m):

@@ -69,21 +69,36 @@ A sweep writes one (N+2, n_nodes) array: row n is V_n, NaN on every node
 outside R_n, so NaN alone marks the unpopulated nodes of a table, and the
 tables it returns are views of its rows.
 
-An optimizing sweep stops at a fixed point.  Say stages 0..n share one
-stage table and one score array, the reachable sets are nested, R_0 <=
-R_1 <= ... <= R_{n+1}, and closed under the compiled system: every
-stage-j read from R_j lands in R_{j+1}.  ``build_reachable_sets``
-guarantees closure for the system it was built from, ``full_grid_sets``
-for any; hand-built sets keep the stage-by-stage loop.  If V_n then
-equals V_{n+1} bit for bit on R_n, every lower stage j gets V_n on R_j
-and, with a policy, stage n's choices there.  By induction each skipped
-stage reads only values on which V_n and V_{n+1} agree, through the same
-operator and scores, and the kernel's float operations on a row do not
-depend on the other rows swept, so each filled table is bitwise the one
-the loop computes.  The loop tests all of this in one expression after
-each stage, the identity and reach checks before the comparison of
-values, so a sweep that never stops pays one comparison per eligible
-stage.  Policy evaluation runs every stage.
+An optimizing sweep runs the kernel only on the rows whose inputs
+changed.  Say stage n repeats stage n+1: both have one stage table and
+one score array, R_n <= R_{n+1}, and the reachable sets are closed under
+the compiled system, so every stage-j read from R_j lands in R_{j+1}.
+``build_reachable_sets`` guarantees closure for the system it was built
+from, ``full_grid_sets`` for any; hand-built sets sweep every row.  The
+support of a row is every node base + offsets over its controls,
+scenarios and corners, zero-weight corners included: 0 * NaN is NaN, and
+a changed value can flip the sign of a zero sum.  If V_{n+1} equals
+V_{n+2} bit for bit on a row's support, stage n runs on that row the float
+operations stage n+1 ran on it (the kernel's operations on a row do not
+depend on the other rows swept), so V_n there is V_{n+1} bit for bit and
+the argmax is stage n+1's: the row is copied.  The rows left form a
+window.  On R_{n+1}, which holds the support of every row of R_n, V_{n+1}
+differs from V_{n+2} only on the rows stage n+1 swept, the others being
+copies; there the two are compared as int64, since -0.0 == 0.0 as
+floats, for the first and the last changed node.  Two support envelopes
+per stage table, built on first use, bound each row's support: the
+running max from the first row of each row's highest support node, and
+the running min from the last row of each row's lowest.  Bisecting them
+gives the hull of the rows whose support range meets the span from the
+first changed node to the last.  Where the envelopes show that no change
+within the swept rows can exclude a row (on small tabular systems, often
+for every row), the changed nodes are not located at all.  A flat-index
+range holds a row's support in any dimension, so the hull is exact there
+too, but only slice rows are windowed: rows given by an index array (2-D
+reachable sets) are swept whole unless no node changed.  The fixed-point exit is the empty window: when no node
+changed and every lower stage repeats stage n+1 as well, each lower stage
+j gets V_{n+1} on R_j and, with a policy, stage n+1's choices there, and
+the loop stops.  Policy evaluation runs every stage.
 
 Everything here is deterministic: control ties resolve to the lowest mesh
 index, so repeated runs reproduce tables bitwise.
@@ -92,7 +107,9 @@ index, so repeated runs reproduce tables bitwise.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -161,6 +178,22 @@ class _StageArrays:
     # the exact image of every (node, control, scenario) that leaves the
     # grid box, sorted by node
     out_pts: np.ndarray     # (n_out, dim)
+
+    @cached_property
+    def envelopes(self) -> tuple[list, list] | None:
+        """Support envelopes of the rows, as lists for ``bisect``: the
+        running max from the first row of each row's highest support node,
+        and the running min from the last row of each row's lowest.  The
+        support of a row is every corner node base + offsets of its controls
+        and scenarios, zero-weight corners included.  None when the first
+        row's support reaches the last node and the last row's the first,
+        so that no window can exclude a row.  Built on first use."""
+        flat = self.base.reshape(len(self.base), -1)
+        hi = np.maximum.accumulate(flat.max(axis=1)) + self.offsets.max()
+        lo = np.minimum.accumulate(flat.min(axis=1)[::-1])[::-1] + self.offsets.min()
+        if hi[0] == len(hi) - 1 and lo[-1] == 0:
+            return None
+        return hi.tolist(), lo.tolist()
 
     @property
     def corner_idx(self) -> np.ndarray:
@@ -411,6 +444,34 @@ def _stage_kernel(V: np.ndarray, base: np.ndarray, cw: np.ndarray | None,
     return np.minimum(q, scores, out=q)
 
 
+_EMPTY = slice(0, 0)
+
+
+def _window(vals: np.ndarray, V_next: np.ndarray, swept, rows, sa: _StageArrays):
+    """The rows of ``rows`` that stage n must sweep when it repeats stage
+    n+1, which computed ``vals`` from ``V_next`` on the rows ``swept``.
+
+    ``_EMPTY`` when ``vals`` equals ``V_next`` on ``swept`` bit for bit.
+    Else the hull of the rows whose support range, by the envelopes of
+    ``sa``, meets the span of the changed nodes: ``rows`` itself when that
+    is every row, or when no change within ``swept`` could exclude a row.
+    """
+    if isinstance(swept, slice) and isinstance(rows, slice) and sa.envelopes:
+        hi, lo = sa.envelopes
+        r0, r1, _ = rows.indices(len(hi))
+        s0, s1, _ = swept.indices(len(hi))
+        if hi[r0] < s1 - 1 or lo[r1 - 1] > s0:
+            # as integers: -0.0 == 0.0 as floats, yet a sum may keep the sign
+            changed = (vals.view(np.int64) !=
+                       V_next[s0:s1].view(np.int64)).nonzero()[0].tolist()
+            if not changed:
+                return _EMPTY
+            a = max(r0, bisect_left(hi, s0 + changed[0]))
+            b = min(r1, bisect_right(lo, s0 + changed[-1]))
+            return rows if (a, b) == (r0, r1) else slice(a, b) if a < b else _EMPTY
+    return _EMPTY if vals.tobytes() == V_next[swept].tobytes() else rows
+
+
 def _sweep(compiled: CompiledSystem, reach: ReachableSets,
            stage_scores: list[np.ndarray], terminal_score: np.ndarray,
            fixed: np.ndarray | None, want_policy: bool):
@@ -432,6 +493,26 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
     closed = fixed is None and (reach.full or reach.closed_under is compiled)
     for n in range(sys.horizon, -1, -1):
         rows, sa, scores = reach.selectors[n], compiled.stage(n), stage_scores[n]
+        if (closed and n < sys.horizon and n + 1 < reach.nested
+                and compiled.stage(n + 1) is sa and stage_scores[n + 1] is scores):
+            # stage n repeats stage n+1 on R_n <= R_{n+1}: every row outside
+            # the window copies stage n+1 (module docstring)
+            window = _window(vals, T[n + 2], swept, rows, sa)
+            if window is _EMPTY and all(compiled.stage(j) is sa and stage_scores[j] is scores
+                                        for j in range(n)):
+                np.copyto(T[:n + 1], T[n + 1], where=reach.masks[:n + 1])
+                if want_policy:
+                    np.copyto(choices[:n + 1], choices[n + 1], where=reach.masks[:n + 1])
+                break
+            if window is not rows:
+                T[n, rows] = T[n + 1, rows]
+                if want_policy:
+                    choices[n, rows] = choices[n + 1, rows]
+                rows = window
+        swept = rows
+        if rows is _EMPTY:
+            vals = T[n, rows]
+            continue
         if fixed is None:
             cells = (rows,)
         else:
@@ -451,15 +532,6 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
         if want_policy:
             choices[n][rows] = q.argmax(axis=-1)
         T[n, rows] = vals
-        # the fixed-point exit (module docstring)
-        if (closed and 0 < n <= reach.nested - 2
-                and all(compiled.stage(j) is sa and stage_scores[j] is scores
-                        for j in range(n))
-                and vals.tobytes() == T[n + 1, rows].tobytes()):
-            np.copyto(T[:n], T[n], where=reach.masks[:n])
-            if want_policy:
-                np.copyto(choices[:n], choices[n], where=reach.masks[:n])
-            break
     return [ValueTable(n, grid, T[n], compiled.interp) for n in range(len(T))], choices
 
 

@@ -285,6 +285,17 @@ class TestCommands:
         assert cli.main(argv) == 0
         assert not (tmp_path / "out" / "value_tables.csv").exists()
 
+    def test_strong_front_removes_the_chains_it_does_not_write(self, tmp_path):
+        cfgp = write_config(tmp_path, TABULAR_SMALL)
+        out = tmp_path / "out"
+        argv = ["strong-front", "--config", str(cfgp)]
+        assert cli.main(argv + ["--start", "0,0"]) == 0
+        assert (out / "strong_chain_1-2.csv").exists()
+        assert cli.main(argv + ["--start", "0.5,0.5", "--perm", "2,1"]) == 0
+        assert [p.name for p in out.glob("strong_chain_*.csv")] == ["strong_chain_2-1.csv"]
+        # the chain of the second run starts at its own start
+        assert "\n0.0,,0.5,0.5,nan\n" in (out / "strong_chain_2-1.csv").read_text()
+
     @pytest.mark.parametrize("model, names", [
         # three states and three controls of stage values for two of each
         ("stage_values: [[[1, 1], [1, 1], [1, 1]], [[1, 1], [1, 1], [1, 1]],"
