@@ -54,6 +54,9 @@ RUNS = (
     ("weak-front-default", "weak-front", "default.yaml", ()),
     ("strong-front-coarse", "strong-front", "coarse.yaml",
      ("--start", "10,2", "--perm", "all")),
+    # the masked constrained sweeps at the documented default grid
+    ("strong-front-default", "strong-front", "default.yaml",
+     ("--start", "10,2", "--perm", "all")),
     ("membership-tabular", "membership", "tabular.yaml",
      ("--threshold", "0.5,0.75", "--debug-export")),
     ("membership-coarse", "membership", "coarse.yaml",

@@ -91,14 +91,15 @@ running max from the first row of each row's highest support node, and
 the running min from the last row of each row's lowest.  Bisecting them
 gives the hull of the rows whose support range meets the span from the
 first changed node to the last.  Where the envelopes show that no change
-within the swept rows can exclude a row (on small tabular systems, often
-for every row), the changed nodes are not located at all.  A flat-index
-range holds a row's support in any dimension, so the hull is exact there
-too, but only slice rows are windowed: rows given by an index array (2-D
-reachable sets) are swept whole unless no node changed.  The fixed-point exit is the empty window: when no node
-changed and every lower stage repeats stage n+1 as well, each lower stage
-j gets V_{n+1} on R_j and, with a policy, stage n+1's choices there, and
-the loop stops.  Policy evaluation runs every stage.
+within the swept rows could exclude a row, as on most small tabular
+systems, the changed nodes are not located: only their absence is tested.
+A flat-index range holds a row's support in any dimension, so the hull is
+exact there too, but only slice rows are windowed: rows given by an index
+array (2-D reachable sets) are swept whole unless no node changed.  The
+fixed-point exit is the empty window: when no node changed and every
+lower stage repeats stage n+1 as well, each lower stage j gets V_{n+1} on
+R_j and, with a policy, stage n+1's choices there, and the loop stops.
+Policy evaluation runs every stage.
 
 Everything here is deterministic: control ties resolve to the lowest mesh
 index, so repeated runs reproduce tables bitwise.
@@ -453,13 +454,15 @@ def _window(vals: np.ndarray, V_next: np.ndarray, swept, rows, sa: _StageArrays)
 
     ``_EMPTY`` when ``vals`` equals ``V_next`` on ``swept`` bit for bit.
     Else the hull of the rows whose support range, by the envelopes of
-    ``sa``, meets the span of the changed nodes: ``rows`` itself when that
-    is every row, or when no change within ``swept`` could exclude a row.
+    ``sa``, meets the span of the changed nodes; ``rows`` itself when that
+    is every row, when no change within ``swept`` could exclude a row, or
+    when ``rows`` or ``swept`` is an index array.
     """
     if isinstance(swept, slice) and isinstance(rows, slice) and sa.envelopes:
         hi, lo = sa.envelopes
         r0, r1, _ = rows.indices(len(hi))
         s0, s1, _ = swept.indices(len(hi))
+        # else no change within swept moves either end of the hull
         if hi[r0] < s1 - 1 or lo[r1 - 1] > s0:
             # as integers: -0.0 == 0.0 as floats, yet a sum may keep the sign
             changed = (vals.view(np.int64) !=
@@ -495,8 +498,9 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
         rows, sa, scores = reach.selectors[n], compiled.stage(n), stage_scores[n]
         if (closed and n < sys.horizon and n + 1 < reach.nested
                 and compiled.stage(n + 1) is sa and stage_scores[n + 1] is scores):
-            # stage n repeats stage n+1 on R_n <= R_{n+1}: every row outside
-            # the window copies stage n+1 (module docstring)
+            # stage n repeats stage n+1, whose kernel gave ``vals`` on the
+            # rows ``swept``: every row outside the window copies stage n+1
+            # (module docstring)
             window = _window(vals, T[n + 2], swept, rows, sa)
             if window is _EMPTY and all(compiled.stage(j) is sa and stage_scores[j] is scores
                                         for j in range(n)):
@@ -510,7 +514,7 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
                     choices[n, rows] = choices[n + 1, rows]
                 rows = window
         swept = rows
-        if rows is _EMPTY:
+        if rows is _EMPTY:  # every row copied: nothing for the kernel
             vals = T[n, rows]
             continue
         if fixed is None:

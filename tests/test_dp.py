@@ -379,8 +379,10 @@ class TestFixedPointExit:
     """An optimizing sweep over one shared stage operator stops at the first
     stage n >= 1 with V_n == V_{n+1} bit for bit on R_n, and fills every
     lower stage from V_n; only when the reachable sets are nested and
-    closed under the compiled system.  The tables and policies are those
-    of the stage-by-stage loop."""
+    closed under the compiled system.  The exit is the empty case of the
+    row window (``TestRowWindow``): no node of R_n changed, so no row of
+    any lower stage has a changed node in its support.  The tables and
+    policies are those of the stage-by-stage loop."""
 
     @staticmethod
     def kernel_calls(monkeypatch) -> list:
@@ -479,6 +481,128 @@ class TestFixedPointExit:
         masks[1, 0] = False
         with pytest.raises(ValueError, match="every node"):
             rt.ReachableSets(grid=grid, masks=masks, full=True)
+
+
+def _banded_tabular(rng, interp):
+    """A time-invariant node-closed system whose images lie at most a few
+    nodes from their node, with small integer tables rich in zeros of both
+    signs, compiled with ``interp``: multilinear puts a corner of weight
+    exactly 0 beside every image."""
+    def signed(rng, shape):
+        # 0 * -1.0 is -0.0
+        return rng.integers(-2, 3, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+    n_states, n_controls = int(rng.integers(2, 31)), int(rng.integers(1, 4))
+    band = int(rng.integers(1, 4))
+    steps = rng.integers(-band, band + 1, size=(n_states, n_controls, 2))
+    params = rt.TabularParams(
+        node_coords=np.arange(n_states, dtype=float),
+        transitions=np.clip(np.arange(n_states)[:, None, None] + steps, 0, n_states - 1),
+        stage_values=signed(rng, (n_states, n_controls, 2)),
+        terminal_values=signed(rng, (n_states, 2)))
+    sys = rt.build_tabular_system(params, horizon=int(rng.integers(1, 9)))
+    grid = rt.StateGrid(lower=[0.0], upper=[n_states - 1.0], counts=[n_states])
+    controls = rt.ControlMesh(tuple(range(n_controls)))
+    compiled = rt.compile_system(sys, grid, controls, interp=interp)
+    reach = rt.build_reachable_sets(float(rng.integers(0, n_states)), grid, sys,
+                                    controls, compiled=compiled)
+    return sys, grid, compiled, reach
+
+
+class TestRowWindow:
+    """A stage that repeats stage n+1's operator runs the kernel only on
+    the hull of the rows whose support holds a node where V_{n+1} differs
+    from V_{n+2}; every other row copies stage n+1.  Tables (signs of zero
+    included), populated nodes and policies stay those of the
+    stage-by-stage reference."""
+
+    @staticmethod
+    def assert_bitwise_reference(compiled, reach, scores, terminal):
+        tables, policy = dp.sweep_scores(compiled, reach, scores, terminal)
+        values, choices = _reference_sweep(compiled, reach, scores, terminal)
+        for n, (t, v) in enumerate(zip(tables, values)):
+            assert t.values.tobytes() == v.tobytes()
+            assert np.array_equal(t.populated, reach.masks[n])
+        assert np.array_equal(policy.choices, choices)
+
+    def assert_every_score(self, compiled, sets, c):
+        for scores in [compiled.slack_scores(c)] + [
+                compiled.masked_component_scores(c, comp) for comp in range(len(c))]:
+            self.assert_bitwise_reference(compiled, sets, *scores)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["nearest", "multilinear"]),
+           st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+    def test_banded_tabular_systems_match_the_reference(self, seed, interp, c):
+        sys, grid, compiled, reach = _banded_tabular(np.random.default_rng(seed), interp)
+        for sets in (reach, full_grid_sets(grid, sys.horizon)):
+            self.assert_every_score(compiled, sets, np.asarray(c, dtype=float))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(-10.0, 130.0), st.floats(-10.0, 60.0))
+    def test_coarse_fishery_matches_the_reference(self, coarse_fishery, c1, c2):
+        sys, grid, controls, compiled, reach = coarse_fishery
+        for sets in (reach, full_grid_sets(grid, sys.horizon)):
+            self.assert_every_score(compiled, sets, np.asarray([c1, c2]))
+
+    @pytest.fixture(scope="class")
+    def default_fishery(self):
+        params = FisheryParams.default()
+        sys = build_fishery_system(params, horizon=50)
+        grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[600])
+        controls = rt.ControlMesh.uniform(0.0, params.u_max, 200)
+        compiled = rt.compile_system(sys, grid, controls)
+        return sys, compiled, rt.build_reachable_sets(60.0, grid, sys, controls,
+                                                      compiled=compiled)
+
+    def test_default_fishery_sweeps_a_sub_slice(self, default_fishery, monkeypatch):
+        sys, compiled, reach = default_fishery
+        scores, terminal = compiled.slack_scores(np.asarray([60.0, 60.0]))
+        swept = []
+        kernel = dp._stage_kernel
+
+        def counted(V, base, *args):
+            swept.append(len(base))
+            return kernel(V, base, *args)
+
+        monkeypatch.setattr(dp, "_stage_kernel", counted)
+        self.assert_bitwise_reference(compiled, reach, scores, terminal)
+        # one call per stage from N down, none of them empty
+        reachable = reach.masks[::-1][1:len(swept) + 1].sum(axis=1)
+        assert 0 < min(swept) and np.all(swept <= reachable)
+        assert np.any(swept < reachable)
+
+    def test_a_zero_weight_corner_is_in_the_support(self):
+        # node 0 maps to itself, a multilinear read 1 * V(0) + 0 * V(1);
+        # V(0) is -0.0 and V(1) goes -1, -1, 1 from stage 4 down, so stage
+        # 1 reads a changed node only through the weight-0 corner, and
+        # -0.0 + 0 * 1 is 0.0 where stage 2 had -0.0 + 0 * -1 = -0.0
+        terminal = np.repeat([[-0.0], [-1.0], [-1.0], [1.0]], 2, axis=1)
+        params = rt.TabularParams(
+            node_coords=np.arange(4.0),
+            transitions=np.repeat([[[0]], [[2]], [[3]], [[3]]], 2, axis=2),
+            stage_values=np.full((4, 1, 2), 5.0), terminal_values=terminal)
+        sys = rt.build_tabular_system(params, horizon=3)
+        grid = rt.StateGrid(lower=[0.0], upper=[3.0], counts=[4])
+        controls = rt.ControlMesh((0,))
+        compiled = rt.compile_system(sys, grid, controls)
+        reach = rt.build_reachable_sets(0.0, grid, sys, controls, compiled=compiled)
+        scores, terminal_score = compiled.slack_scores(np.zeros(2))
+        tables, _ = dp.sweep_scores(compiled, reach, scores, terminal_score)
+        assert [float(t.values[0]) for t in tables[1:]] == [0.0, -0.0, -0.0, -0.0]
+        assert [np.signbit(t.values[0]) for t in tables[1:]] == [False, True, True, True]
+        self.assert_bitwise_reference(compiled, reach, scores, terminal_score)
+
+    def test_empty_window_without_the_exit(self, default_fishery, monkeypatch):
+        # stages 0 and 1 get score arrays of their own, equal to the rest:
+        # once nothing changes, the stages above them copy their rows and
+        # skip the kernel, but the loop cannot stop there
+        sys, compiled, reach = default_fishery
+        scores, terminal = compiled.slack_scores(np.asarray([0.0, 60.0]))
+        scores = [scores[0].copy(), scores[1].copy()] + scores[2:]
+        calls = TestFixedPointExit.kernel_calls(monkeypatch)
+        self.assert_bitwise_reference(compiled, reach, scores, terminal)
+        assert len(calls) < sys.horizon - 1
 
 
 class TestProductSystem:
