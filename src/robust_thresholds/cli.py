@@ -265,7 +265,7 @@ def cmd_strong_front(args) -> int:
         perms = [perm]
     out = Path(cfg.output_dir)
     labels = ["-".join(str(i + 1) for i in perm) for perm in perms]
-    # a chain of an earlier run whose permutation this run does not walk
+    # drop the chains an earlier run left of permutations this run skips
     written = {f"strong_chain_{label}.csv" for label in labels}
     for path in out.glob("strong_chain_*.csv"):
         if path.name not in written:
