@@ -47,6 +47,90 @@ initial_state: 0
 ray_mesh: {spacing: 0.5, count: 10}
 options: {interpolation: nearest}
 """,
+    # every fishery key, set to something other than its default; integers
+    # where the header writes floats
+    "fishery-all-keys.yaml": """\
+model:
+  kind: fishery-beverton-holt
+  r_a: 0.5
+  r_b: 2
+  K_a: 80
+  K_b: 50.0
+  u_max: 30
+  m_big: 1.0e+5
+  scenarios: [b]
+horizon: 4
+initial_state: 40
+state_grid: {lower: [0], upper: [100], nodes: 41}
+control_mesh: {values: [0, 2.5, 5, 7.5, 10, 15, 20, 30]}
+ray_mesh: {spacing: 2, count: 12, anchors: [110, 40]}
+tolerances: {membership: 1.0e-9, front: 0.5}
+options:
+  interpolation: multilinear
+  full_grid: false
+  oracle: true
+  jobs: 1
+  oracle_budget: 2000000
+output_dir: never-used
+""",
+    # per-stage (4-axis) tables, integer stage values, a control count
+    "tabular-stages.yaml": """\
+model:
+  kind: tabular
+  transitions: [[[[1, 1], [2, 1], [2, 0]], [[1, 1], [0, 1], [1, 0]],
+                 [[0, 2], [0, 2], [2, 0]]],
+                [[[0, 2], [0, 0], [2, 2]], [[1, 0], [0, 2], [0, 2]],
+                 [[1, 2], [0, 1], [0, 0]]],
+                [[[2, 1], [2, 0], [0, 2]], [[2, 0], [2, 1], [1, 1]],
+                 [[2, 0], [2, 1], [0, 2]]]]
+  stage_values: [[[[4, 2], [4, 3], [3, 2]], [[3, 0], [0, 3], [2, 3]],
+                  [[1, 4], [2, 0], [1, 4]]],
+                 [[[0, 4], [0, 4], [0, 4]], [[3, 3], [3, 1], [2, 0]],
+                  [[4, 3], [4, 3], [3, 3]]],
+                 [[[0, 0], [0, 4], [4, 1]], [[0, 0], [3, 4], [0, 3]],
+                  [[0, 2], [3, 3], [0, 4]]]]
+  terminal_values: [[1, 3], [4, 2], [3, 2]]
+horizon: 2
+initial_state: 1
+control_mesh: {count: 2}
+ray_mesh: {spacing: 0.5, count: 8}
+options: {interpolation: nearest, oracle: true}
+""",
+    "tabular-values.yaml": """\
+model:
+  kind: tabular
+  transitions: [[[0, 1], [1, 1]], [[1, 0], [0, 1]]]
+  stage_values: [[[1.0, 2.0], [0.5, 3.0]], [[2.0, 1.0], [1.5, 0.0]]]
+  terminal_values: [[5.0, 5.0], [5.0, 5.0]]
+horizon: 3
+initial_state: [1]
+control_mesh: {values: [1, 0.0]}
+ray_mesh: {spacing: 0.25, count: 6, anchors: [4, 4]}
+""",
+    # one error each: stderr and exit code are compared
+    "error-ray-spacing.yaml": """\
+model: {kind: fishery-beverton-holt}
+horizon: 2
+initial_state: 60.0
+ray_mesh: {spacing: -0.5}
+""",
+    "error-initial-state.yaml": """\
+model: {kind: fishery-beverton-holt}
+horizon: 2
+initial_state: 500.0
+""",
+    "error-anchor-count.yaml": """\
+model: {kind: fishery-beverton-holt}
+horizon: 2
+initial_state: 60.0
+ray_mesh: {anchors: [130.0, 60.0, 1.0]}
+""",
+    "error-control-value.yaml": """\
+model: {kind: fishery-beverton-holt}
+horizon: 2
+initial_state: 60.0
+control_mesh: {values: [0.0, 50.0]}
+""",
 }
 
 # (name, command, config, extra arguments); each writes to out/<name>
@@ -63,6 +147,23 @@ RUNS = (
      ("--threshold", "10,2", "--debug-export")),
     ("weak-front-tabular", "weak-front", "tabular.yaml", ("--debug-export",)),
     ("analytic-fishery", "analytic-fishery", "default.yaml", ()),
+    ("value-fishery-all-keys", "value", "fishery-all-keys.yaml", ("--threshold", "5,2")),
+    ("membership-fishery-all-keys", "membership", "fishery-all-keys.yaml",
+     ("--threshold", "5,2")),
+    ("weak-front-fishery-all-keys", "weak-front", "fishery-all-keys.yaml", ()),
+    ("weak-front-flags", "weak-front", "coarse.yaml",
+     ("--jobs", "2", "--interp", "nearest", "--full-grid")),
+    ("oracle-check-tabular-stages", "oracle-check", "tabular-stages.yaml",
+     ("--threshold", "1,1")),
+    ("membership-tabular-stages", "membership", "tabular-stages.yaml",
+     ("--threshold", "0.5,1")),
+    ("value-tabular-values", "value", "tabular-values.yaml", ("--threshold", "0.5,0.5")),
+    ("membership-oracle-tabular-values", "membership", "tabular-values.yaml",
+     ("--threshold", "0.5,0.5", "--oracle")),
+    ("weak-front-tabular-values", "weak-front", "tabular-values.yaml", ()),
+    *((f"value-{name[:-5]}", "value", name, ("--threshold", "1,1"))
+      for name in ("error-ray-spacing.yaml", "error-initial-state.yaml",
+                   "error-anchor-count.yaml", "error-control-value.yaml")),
 )
 
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys as _sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dp, oracle, pareto
-from .config import ConfigError, Problem, build_problem, parse_config, serialize
-from .fishery import FisheryParams, robust_boundary
+from .config import Problem, build_problem, parse_config, serialize
+from .fishery import robust_boundary
 from .mesh import INTERP_MODES, build_reachable_sets, full_grid_sets
 from .model import as_threshold
 
@@ -57,9 +56,10 @@ def _write(path: Path, header: str, column_names: list, rows) -> None:
 
 def _prepare(problem: Problem):
     """Compile the discretization and reachable sets once per run."""
+    options = problem.config["options"]
     compiled = dp.compile_system(problem.sys, problem.grid, problem.controls,
-                                 interp=problem.config.interpolation)
-    if problem.config.full_grid:
+                                 interp=options["interpolation"])
+    if options["full_grid"]:
         reach = full_grid_sets(problem.grid, problem.sys.horizon)
     else:
         reach = build_reachable_sets(problem.xi, problem.grid, problem.sys,
@@ -67,31 +67,26 @@ def _prepare(problem: Problem):
     return compiled, reach
 
 
+def _flag_overrides(args) -> dict:
+    """The keys the command line flags set, as ``parse_config`` overrides;
+    an unset flag leaves the document's value."""
+    flags = {"output_dir": args.out, "options.jobs": args.jobs,
+             "options.interpolation": args.interp,
+             "options.full_grid": args.full_grid or None,
+             "options.oracle": getattr(args, "oracle", False) or None}
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _load_problem(args) -> Problem:
-    cfg = parse_config(Path(args.config).read_text())
-    overrides = {}
-    if getattr(args, "out", None):
-        overrides["output_dir"] = args.out
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        # ``replace`` skips the checks of ``parse_config``
-        if jobs < 1:
-            raise ConfigError("--jobs: must be >= 1")
-        overrides["jobs"] = jobs
-    if getattr(args, "interp", None):
-        overrides["interpolation"] = args.interp
-    if getattr(args, "full_grid", False):
-        overrides["full_grid"] = True
-    if getattr(args, "oracle", False):
-        overrides["oracle"] = True
-    return build_problem(replace(cfg, **overrides))
+    return build_problem(parse_config(Path(args.config).read_text(),
+                                      _flag_overrides(args)))
 
 
 def _parse_threshold(text: str, m: int) -> np.ndarray:
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"threshold {text!r} is not a comma-separated vector") from exc
+        raise ValueError(f"threshold {text!r} is not a comma-separated vector") from exc
     return as_threshold(vals, m)
 
 
@@ -110,7 +105,7 @@ def _solve(args):
 def _oracles(problem: Problem, c):
     """Closed-loop value, open-loop value, exhaustive membership and the
     expansions they used together, under one budget."""
-    budget = oracle.OracleBudget(problem.config.oracle_budget)
+    budget = oracle.OracleBudget(problem.config["options"]["oracle_budget"])
     query = (problem.xi, c, problem.sys, problem.controls)
     cl = oracle.closedloop_maximin(*query, budget=budget)
     ol = oracle.openloop_maximin(*query, budget=budget)
@@ -125,7 +120,8 @@ def _oracle_disagreement(problem: Problem, w: float, cl: float) -> str | None:
     node, so its grid solve carries no discretization error and equals the
     oracle up to ``ORACLE_TOL``; other models are not compared."""
     cfg = problem.config
-    if (cfg.model_kind == "tabular" and cfg.interpolation == "nearest"
+    if (cfg["model"]["kind"] == "tabular"
+            and cfg["options"]["interpolation"] == "nearest"
             and abs(w - cl) > ORACLE_TOL):
         return (f"solver W differs from the closed-loop oracle by {_fmt(w - cl)} "
                 f"on a nearest-node tabular model")
@@ -141,9 +137,10 @@ def cmd_weak_front(args) -> int:
     compiled, reach = _prepare(problem)
     front = pareto.weak_front(problem.xi, problem.ray_mesh, problem.sys,
                               problem.grid, problem.controls,
-                              front_tol=cfg.front_tol, compiled=compiled,
-                              reach=reach, jobs=cfg.jobs)
-    out = Path(cfg.output_dir)
+                              front_tol=cfg["tolerances"]["front"],
+                              compiled=compiled, reach=reach,
+                              jobs=cfg["options"]["jobs"])
+    out = Path(cfg["output_dir"])
     header = _header("weak-front", problem)
     m = problem.sys.threshold_dim
 
@@ -163,7 +160,7 @@ def cmd_weak_front(args) -> int:
         (out / "set_membership.csv").unlink(missing_ok=True)
         notes.append("the front is empty, so set_membership.csv is not written")
 
-    if cfg.model_kind == "fishery-beverton-holt":
+    if cfg["model"]["kind"] == "fishery-beverton-holt":
         _write_analytic(out / "analytic_fishery.csv", header, problem)
     else:
         (out / "analytic_fishery.csv").unlink(missing_ok=True)
@@ -191,7 +188,7 @@ def _membership_sample(front: pareto.FrontResult, problem: Problem,
                        per_axis: int = 41):
     """Reconstruction sample on a regular threshold grid below the anchors."""
     m = problem.sys.threshold_dim
-    hi = np.asarray(problem.config.ray_anchors, dtype=float)
+    hi = np.asarray(problem.config["ray_mesh"]["anchors"], dtype=float)
     axes = [np.linspace(0.0, hi[j], per_axis) for j in range(m)]
     out = []
     for c in itertools.product(*axes):
@@ -200,7 +197,7 @@ def _membership_sample(front: pareto.FrontResult, problem: Problem,
 
 
 def _write_analytic(path: Path, header: str, problem: Problem) -> None:
-    params: FisheryParams = problem.config.fishery
+    params = problem.params
     xi = float(problem.xi)
     xs = np.linspace(0.0, max(params.K[w] for w in params.scenarios), 501)
     rows = [(x, *(float(params.surplus(x, w)) for w in params.scenarios),
@@ -263,7 +260,7 @@ def cmd_strong_front(args) -> int:
     else:
         perm = tuple(int(v) - 1 for v in args.perm.split(","))
         perms = [perm]
-    out = Path(cfg.output_dir)
+    out = Path(cfg["output_dir"])
     labels = ["-".join(str(i + 1) for i in perm) for perm in perms]
     # drop the chains an earlier run left of permutations this run skips
     written = {f"strong_chain_{label}.csv" for label in labels}
@@ -275,7 +272,8 @@ def cmd_strong_front(args) -> int:
     for perm, label in zip(perms, labels):
         chain = pareto.strong_pareto_point(
             problem.xi, c0, perm, problem.sys, problem.grid, problem.controls,
-            compiled=compiled, reach=reach, membership_tol=cfg.membership_tol)
+            compiled=compiled, reach=reach,
+            membership_tol=cfg["tolerances"]["membership"])
         cols = (["i", "sigma_i"] + [f"c_{j + 1}" for j in range(m)] + ["value"])
         rows = [(0, "", *chain.chain[0], float("nan"))]
         for i in range(m):
@@ -295,11 +293,10 @@ def cmd_strong_front(args) -> int:
 def cmd_membership(args) -> int:
     problem, c, tables, w = _solve(args)
     cfg = problem.config
-    verdict = w >= -cfg.membership_tol
-    lines = [f"W(xi, c) = {_fmt(w)}",
-             f"membership (tol {cfg.membership_tol}): {verdict}"]
+    tol = cfg["tolerances"]["membership"]
+    lines = [f"W(xi, c) = {_fmt(w)}", f"membership (tol {tol}): {w >= -tol}"]
     disagreement = None
-    if cfg.oracle:
+    if cfg["options"]["oracle"]:
         cl, ol, ex, used = _oracles(problem, c)
         lines += [f"oracle closed-loop value = {_fmt(cl)}",
                   f"oracle open-loop value  = {_fmt(ol)}",
@@ -310,7 +307,7 @@ def cmd_membership(args) -> int:
             lines.append(f"error: {disagreement}")
     report = "\n".join(lines)
     print(report)
-    out = Path(cfg.output_dir)
+    out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "membership_report.txt").write_text(
         _header("membership", problem) + report + "\n")
@@ -354,12 +351,12 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_analytic_fishery(args) -> int:
     problem = _load_problem(args)
-    if problem.config.model_kind != "fishery-beverton-holt":
-        raise ConfigError("analytic-fishery requires a fishery model")
-    out = Path(problem.config.output_dir)
+    if problem.config["model"]["kind"] != "fishery-beverton-holt":
+        raise ValueError("analytic-fishery requires a fishery model")
+    out = Path(problem.config["output_dir"])
     _write_analytic(out / "analytic_fishery.csv",
                     _header("analytic-fishery", problem), problem)
-    params = problem.config.fishery
+    params = problem.params
     for w in params.scenarios:
         print(f"scenario {w}: msy stock = {params.msy_stock(w):.6g}, "
               f"msy harvest = {params.msy_harvest(w):.6g}")
@@ -431,7 +428,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, oracle.BudgetExceededError,
+    except (ValueError, oracle.BudgetExceededError,
             pareto.InfeasibleThresholdError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

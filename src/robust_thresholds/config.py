@@ -2,13 +2,16 @@
 
 Unknown keys are rejected (never ignored) with their full path; every
 omitted key takes the documented default.  The exact grammar is documented
-in the README; ``serialize`` emits a document that parses back to an
-equivalent configuration, and resolved configurations are embedded verbatim
-in every output file header for provenance.
+in the README.  ``parse_config`` returns the resolved document: a nested
+dict holding every key in canonical order, with every check passed.  It is
+the only form a configuration takes: ``serialize`` dumps it as it is (so it
+parses back to an equal document), every output file header embeds it for
+provenance, and ``build_problem`` and the commands read it.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any
 
@@ -20,7 +23,7 @@ from .mesh import (INTERP_MODES, ControlMesh, StateGrid, ThresholdRayMesh,
                    threshold_ray_mesh)
 from .model import SystemSpec, TabularParams, build_tabular_system
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize", "build_problem"]
+__all__ = ["ConfigError", "parse_config", "serialize", "build_problem"]
 
 MODEL_KINDS = ("fishery-beverton-holt", "tabular")
 
@@ -55,42 +58,20 @@ def _integer(raw: Any, path: str) -> int:
     return int(raw)
 
 
-def _vector(raw: Any, path: str) -> tuple:
+def _vector(raw: Any, path: str) -> list:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return (float(raw),)
+        return [float(raw)]
     _require(isinstance(raw, (list, tuple)), path, "expected a number or list")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(raw)]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    model_kind: str
-    fishery: FisheryParams | None
-    tabular: TabularParams | None
-    horizon: int
-    initial_state: tuple
-    grid_lower: tuple
-    grid_upper: tuple
-    grid_nodes: tuple
-    control_count: int | None
-    control_values: tuple | None
-    ray_spacing: float
-    ray_count: int
-    ray_anchors: tuple
-    membership_tol: float
-    front_tol: float | None
-    interpolation: str
-    full_grid: bool
-    oracle: bool
-    jobs: int
-    oracle_budget: int
-    output_dir: str
-
-
+# the fishery's model keys and their defaults, in document order
+_FISHERY_DEFAULTS = {name: p.default for name, p in
+                     inspect.signature(FisheryParams.default).parameters.items()}
+_TABULAR_KEYS = ("transitions", "stage_values", "terminal_values")
 _TOP_KEYS = ("model", "horizon", "initial_state", "state_grid", "control_mesh",
              "ray_mesh", "tolerances", "options", "output_dir")
-_MODEL_KEYS = ("kind", "r_a", "r_b", "K_a", "K_b", "u_max", "m_big", "scenarios",
-               "transitions", "stage_values", "terminal_values")
+_MODEL_KEYS = ("kind", *_FISHERY_DEFAULTS, *_TABULAR_KEYS)
 _GRID_KEYS = ("lower", "upper", "nodes")
 _CONTROL_KEYS = ("count", "values")
 _RAY_KEYS = ("spacing", "count", "anchors")
@@ -98,8 +79,57 @@ _TOL_KEYS = ("membership", "front")
 _OPTION_KEYS = ("interpolation", "full_grid", "oracle", "jobs", "oracle_budget")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration document."""
+def _model_params(model: dict) -> FisheryParams | TabularParams:
+    """The parameters a resolved model section describes."""
+    if model["kind"] == "tabular":
+        tables = [np.asarray(model[key], dtype=dtype)
+                  for key, dtype in zip(_TABULAR_KEYS, (int, float, float))]
+        return TabularParams(np.arange(tables[-1].shape[0], dtype=float), *tables)
+    return FisheryParams.default(**{key: model[key] for key in _FISHERY_DEFAULTS}
+                                 | {"scenarios": tuple(model["scenarios"])})
+
+
+def _parse_model(raw: Any) -> tuple[dict, FisheryParams | TabularParams]:
+    model = _section(raw, "model", _MODEL_KEYS)
+    _require("kind" in model, "model.kind", "a model kind is required")
+    kind = model["kind"]
+    _require(kind in MODEL_KINDS, "model.kind",
+             f"must be one of {list(MODEL_KINDS)}, got {kind!r}")
+    if kind == "tabular":
+        for key in _FISHERY_DEFAULTS:
+            _require(key not in model, f"model.{key}", "only valid for fishery models")
+        for key in _TABULAR_KEYS:
+            _require(key in model, f"model.{key}", "required for tabular models")
+        resolved = {"kind": kind, **{key: model[key] for key in _TABULAR_KEYS}}
+    else:
+        for key in _TABULAR_KEYS:
+            _require(key not in model, f"model.{key}", "only valid for tabular models")
+        scenarios = model.get("scenarios", list(_FISHERY_DEFAULTS["scenarios"]))
+        _require(isinstance(scenarios, (list, tuple)) and len(scenarios) >= 1,
+                 "model.scenarios", "expected a nonempty list")
+        scenarios = [str(s) for s in scenarios]
+        for s in scenarios:
+            _require(s in ("a", "b"), "model.scenarios", f"unknown scenario {s!r}")
+        resolved = {"kind": kind, **{
+            key: _number(model.get(key, default), f"model.{key}")
+            for key, default in _FISHERY_DEFAULTS.items() if key != "scenarios"},
+            "scenarios": scenarios}
+    try:
+        params = _model_params(resolved)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"model: {exc}") from exc
+    if kind == "tabular":
+        resolved.update({key: getattr(params, key).tolist() for key in _TABULAR_KEYS})
+    return resolved, params
+
+
+def parse_config(text: str, overrides: dict | None = None) -> dict:
+    """Parse, complete and validate a configuration document.
+
+    ``overrides`` maps dotted key paths (``"options.jobs"``, ``"output_dir"``)
+    to values that replace the document's own before any check runs, so a
+    value passes the same checks whether a flag or the document sets it.
+    Returns the resolved document."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -107,56 +137,16 @@ def parse_config(text: str) -> RunConfig:
     if raw is None:
         raw = {}
     raw = _section(raw, "", _TOP_KEYS)
+    for path, value in (overrides or {}).items():
+        *parents, key = path.split(".")
+        section = raw
+        for name in parents:
+            section = section.setdefault(name, {})
+        if isinstance(section, dict):  # else its own check rejects it below
+            section[key] = value
 
-    model = _section(raw.get("model", {}), "model", _MODEL_KEYS)
-    _require("kind" in model, "model.kind", "a model kind is required")
-    kind = model["kind"]
-    _require(kind in MODEL_KINDS, "model.kind",
-             f"must be one of {list(MODEL_KINDS)}, got {kind!r}")
-
-    fishery_params = tabular_params = None
-    if kind == "fishery-beverton-holt":
-        for key in ("transitions", "stage_values", "terminal_values"):
-            _require(key not in model, f"model.{key}", "only valid for tabular models")
-        scen_raw = model.get("scenarios", ["a", "b"])
-        _require(isinstance(scen_raw, (list, tuple)) and len(scen_raw) >= 1,
-                 "model.scenarios", "expected a nonempty list")
-        scenarios = tuple(str(s) for s in scen_raw)
-        for s in scenarios:
-            _require(s in ("a", "b"), "model.scenarios", f"unknown scenario {s!r}")
-        try:
-            fishery_params = FisheryParams.default(
-                r_a=_number(model.get("r_a", 0.39), "model.r_a"),
-                r_b=_number(model.get("r_b", 2.0), "model.r_b"),
-                K_a=_number(model.get("K_a", 90.0), "model.K_a"),
-                K_b=_number(model.get("K_b", 50.0), "model.K_b"),
-                u_max=_number(model.get("u_max", 40.0), "model.u_max"),
-                m_big=_number(model.get("m_big", 1.0e6), "model.m_big"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
-        if scenarios != ("a", "b"):
-            fishery_params = FisheryParams(r=fishery_params.r, K=fishery_params.K,
-                                           u_max=fishery_params.u_max,
-                                           m_big=fishery_params.m_big,
-                                           scenarios=scenarios)
-    else:
-        for key in ("r_a", "r_b", "K_a", "K_b", "u_max", "m_big", "scenarios"):
-            _require(key not in model, f"model.{key}",
-                     "only valid for fishery models")
-        for key in ("transitions", "stage_values", "terminal_values"):
-            _require(key in model, f"model.{key}", "required for tabular models")
-        try:
-            transitions = np.asarray(model["transitions"], dtype=int)
-            stage_values = np.asarray(model["stage_values"], dtype=float)
-            terminal_values = np.asarray(model["terminal_values"], dtype=float)
-            n_states = terminal_values.shape[0]
-            tabular_params = TabularParams(
-                node_coords=np.arange(n_states, dtype=float),
-                transitions=transitions, stage_values=stage_values,
-                terminal_values=terminal_values)
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"model: {exc}") from exc
+    model, params = _parse_model(raw.get("model", {}))
+    tabular = model["kind"] == "tabular"
 
     _require("horizon" in raw, "horizon", "required")
     horizon = _integer(raw["horizon"], "horizon")
@@ -166,65 +156,70 @@ def parse_config(text: str) -> RunConfig:
     initial_state = _vector(raw["initial_state"], "initial_state")
 
     grid = _section(raw.get("state_grid", {}), "state_grid", _GRID_KEYS)
-    if kind == "tabular":
-        n_states = tabular_params.terminal_values.shape[0]
-        default_grid = ((0.0,), (float(max(n_states - 1, 1)),), (max(n_states, 2),))
+    if tabular:
+        n_states = len(model["terminal_values"])
+        default_grid = ([0.0], [float(max(n_states - 1, 1))], [max(n_states, 2)])
     else:
-        default_grid = ((0.0,), (120.0,), (600,))
-    grid_lower = _vector(grid.get("lower", list(default_grid[0])), "state_grid.lower")
-    grid_upper = _vector(grid.get("upper", list(default_grid[1])), "state_grid.upper")
-    nodes_raw = grid.get("nodes", list(default_grid[2]))
-    if isinstance(nodes_raw, int):
-        nodes_raw = [nodes_raw]
-    _require(isinstance(nodes_raw, (list, tuple)), "state_grid.nodes",
+        default_grid = ([0.0], [120.0], [600])
+    lower = _vector(grid.get("lower", default_grid[0]), "state_grid.lower")
+    upper = _vector(grid.get("upper", default_grid[1]), "state_grid.upper")
+    nodes = grid.get("nodes", default_grid[2])
+    if isinstance(nodes, int):
+        nodes = [nodes]
+    _require(isinstance(nodes, (list, tuple)), "state_grid.nodes",
              "expected an integer or list")
-    grid_nodes = tuple(_integer(n, f"state_grid.nodes[{i}]")
-                       for i, n in enumerate(nodes_raw))
-    _require(len(grid_lower) == len(grid_upper) == len(grid_nodes),
+    nodes = [_integer(n, f"state_grid.nodes[{i}]") for i, n in enumerate(nodes)]
+    _require(len(lower) == len(upper) == len(nodes),
              "state_grid", "lower, upper and nodes must have the same length")
-    for i, (lo, up, n) in enumerate(zip(grid_lower, grid_upper, grid_nodes)):
+    for i, (lo, up, n) in enumerate(zip(lower, upper, nodes)):
         _require(lo < up, f"state_grid.upper[{i}]", "must exceed the lower bound")
         _require(n >= 2, f"state_grid.nodes[{i}]", "needs at least 2 nodes")
+    _require(len(initial_state) == len(nodes), "initial_state",
+             f"expected {len(nodes)} coordinate(s), one per state grid dimension")
+    _require(StateGrid(lower, upper, nodes).contains(initial_state), "initial_state",
+             "outside the state grid box")
 
     control = _section(raw.get("control_mesh", {}), "control_mesh", _CONTROL_KEYS)
     _require(not ("count" in control and "values" in control), "control_mesh",
              "give either count or values, not both")
-    control_count = control_values = None
     if "values" in control:
-        control_values = _vector(control["values"], "control_mesh.values")
-        _require(len(control_values) >= 1, "control_mesh.values", "must be nonempty")
-    else:
-        default_count = 200 if kind == "fishery-beverton-holt" else None
-        if "count" in control:
-            control_count = _integer(control["count"], "control_mesh.count")
-            _require(control_count >= 1, "control_mesh.count", "must be >= 1")
-        else:
-            control_count = default_count  # None: tabular uses every control
+        values = _vector(control["values"], "control_mesh.values")
+        _require(len(values) >= 1, "control_mesh.values", "must be nonempty")
+        for i, v in enumerate(values if tabular else ()):
+            _require(v.is_integer() and 0 <= v < params.n_controls,
+                     f"control_mesh.values[{i}]", f"expected a control index "
+                     f"from 0 to {params.n_controls - 1}, got {v!r}")
+        control = {"values": values}
+    elif "count" in control or not tabular:
+        count = _integer(control.get("count", 200), "control_mesh.count")
+        _require(count >= 1, "control_mesh.count", "must be >= 1")
+        control = {"count": count}
+    # else {}: a tabular model uses every control
 
     ray = _section(raw.get("ray_mesh", {}), "ray_mesh", _RAY_KEYS)
-    ray_spacing = _number(ray.get("spacing", 0.5), "ray_mesh.spacing")
-    _require(ray_spacing > 0, "ray_mesh.spacing", "must be > 0")
-    ray_count = _integer(ray.get("count", 200), "ray_mesh.count")
-    _require(ray_count >= 0, "ray_mesh.count", "must be >= 0")
-    if "anchors" in ray:
-        ray_anchors = _vector(ray["anchors"], "ray_mesh.anchors")
-    elif kind == "fishery-beverton-holt":
-        ray_anchors = (float(grid_upper[0]) + 10.0, fishery_params.u_max + 20.0)
+    spacing = _number(ray.get("spacing", 0.5), "ray_mesh.spacing")
+    _require(spacing > 0, "ray_mesh.spacing", "must be > 0")
+    count = _integer(ray.get("count", 200), "ray_mesh.count")
+    _require(count >= 0, "ray_mesh.count", "must be >= 0")
+    if tabular:
+        hi = float(max(params.stage_values.max(), params.terminal_values.max()))
+        default_anchors = [hi + 1.0] * params.terminal_values.shape[1]
     else:
-        hi = float(max(tabular_params.stage_values.max(),
-                       tabular_params.terminal_values.max()))
-        m = tabular_params.terminal_values.shape[1]
-        ray_anchors = tuple(hi + 1.0 for _ in range(m))
-    for i, a in enumerate(ray_anchors):
+        default_anchors = [upper[0] + 10.0, params.u_max + 20.0]
+    anchors = _vector(ray.get("anchors", default_anchors), "ray_mesh.anchors")
+    for i, a in enumerate(anchors):
         _require(a > 0, f"ray_mesh.anchors[{i}]", "must be strictly positive")
+    # the default anchors have one coordinate per threshold component
+    _require(len(anchors) == len(default_anchors), "ray_mesh.anchors",
+             "length must equal the threshold dimension")
 
     tol = _section(raw.get("tolerances", {}), "tolerances", _TOL_KEYS)
-    membership_tol = _number(tol.get("membership", 0.0), "tolerances.membership")
-    _require(membership_tol >= 0, "tolerances.membership", "must be >= 0")
-    front_tol = tol.get("front", None)
-    if front_tol is not None:
-        front_tol = _number(front_tol, "tolerances.front")
-        _require(front_tol >= 0, "tolerances.front", "must be >= 0")
+    membership = _number(tol.get("membership", 0.0), "tolerances.membership")
+    _require(membership >= 0, "tolerances.membership", "must be >= 0")
+    front = tol.get("front")
+    if front is not None:
+        front = _number(front, "tolerances.front")
+        _require(front >= 0, "tolerances.front", "must be >= 0")
 
     options = _section(raw.get("options", {}), "options", _OPTION_KEYS)
     interpolation = options.get("interpolation", "multilinear")
@@ -244,61 +239,31 @@ def parse_config(text: str) -> RunConfig:
     _require(isinstance(output_dir, str) and output_dir, "output_dir",
              "expected a nonempty string")
 
-    return RunConfig(
-        model_kind=kind, fishery=fishery_params, tabular=tabular_params,
-        horizon=horizon, initial_state=initial_state, grid_lower=grid_lower,
-        grid_upper=grid_upper, grid_nodes=grid_nodes, control_count=control_count,
-        control_values=control_values, ray_spacing=ray_spacing, ray_count=ray_count,
-        ray_anchors=ray_anchors, membership_tol=membership_tol, front_tol=front_tol,
-        interpolation=interpolation, full_grid=full_grid, oracle=oracle, jobs=jobs,
-        oracle_budget=oracle_budget, output_dir=output_dir)
-
-
-def resolved_dict(cfg: RunConfig) -> dict:
-    """Plain nested dict of the fully resolved configuration."""
-    model: dict[str, Any] = {"kind": cfg.model_kind}
-    if cfg.fishery is not None:
-        model.update(r_a=cfg.fishery.r["a"], r_b=cfg.fishery.r["b"],
-                     K_a=cfg.fishery.K["a"], K_b=cfg.fishery.K["b"],
-                     u_max=cfg.fishery.u_max, m_big=cfg.fishery.m_big,
-                     scenarios=list(cfg.fishery.scenarios))
-    if cfg.tabular is not None:
-        model.update(transitions=cfg.tabular.transitions.tolist(),
-                     stage_values=cfg.tabular.stage_values.tolist(),
-                     terminal_values=cfg.tabular.terminal_values.tolist())
-    control: dict[str, Any] = {}
-    if cfg.control_values is not None:
-        control["values"] = list(cfg.control_values)
-    elif cfg.control_count is not None:
-        control["count"] = cfg.control_count
     return {
         "model": model,
-        "horizon": cfg.horizon,
-        "initial_state": (cfg.initial_state[0] if len(cfg.initial_state) == 1
-                          else list(cfg.initial_state)),
-        "state_grid": {"lower": list(cfg.grid_lower), "upper": list(cfg.grid_upper),
-                       "nodes": list(cfg.grid_nodes)},
+        "horizon": horizon,
+        "initial_state": initial_state[0] if len(initial_state) == 1 else initial_state,
+        "state_grid": {"lower": lower, "upper": upper, "nodes": nodes},
         "control_mesh": control,
-        "ray_mesh": {"spacing": cfg.ray_spacing, "count": cfg.ray_count,
-                     "anchors": list(cfg.ray_anchors)},
-        "tolerances": {"membership": cfg.membership_tol, "front": cfg.front_tol},
-        "options": {"interpolation": cfg.interpolation, "full_grid": cfg.full_grid,
-                    "oracle": cfg.oracle, "jobs": cfg.jobs,
-                    "oracle_budget": cfg.oracle_budget},
-        "output_dir": cfg.output_dir,
+        "ray_mesh": {"spacing": spacing, "count": count, "anchors": anchors},
+        "tolerances": {"membership": membership, "front": front},
+        "options": {"interpolation": interpolation, "full_grid": full_grid,
+                    "oracle": oracle, "jobs": jobs, "oracle_budget": oracle_budget},
+        "output_dir": output_dir,
     }
 
 
-def serialize(cfg: RunConfig) -> str:
-    """Emit a document that parses back to an equivalent configuration."""
-    return yaml.safe_dump(resolved_dict(cfg), sort_keys=False)
+def serialize(cfg: dict) -> str:
+    """Dump a resolved document; it parses back to an equal one."""
+    return yaml.safe_dump(cfg, sort_keys=False)
 
 
 @dataclass
 class Problem:
-    """Everything a command needs, assembled from a RunConfig."""
+    """Everything a command needs, built from a resolved document."""
 
-    config: RunConfig
+    config: dict
+    params: FisheryParams | TabularParams
     sys: SystemSpec
     grid: StateGrid
     controls: ControlMesh
@@ -306,33 +271,24 @@ class Problem:
     ray_mesh: ThresholdRayMesh
 
 
-def build_problem(cfg: RunConfig) -> Problem:
-    if cfg.model_kind == "fishery-beverton-holt":
-        sys = build_fishery_system(cfg.fishery, cfg.horizon)
-        if cfg.control_values is not None:
-            controls = ControlMesh(cfg.control_values)
-        else:
-            controls = ControlMesh.uniform(0.0, cfg.fishery.u_max,
-                                           cfg.control_count or 200)
+def build_problem(cfg: dict) -> Problem:
+    """Construct the objects of a document that ``parse_config`` resolved."""
+    params = _model_params(cfg["model"])
+    mesh = cfg["control_mesh"]
+    if isinstance(params, TabularParams):
+        sys = build_tabular_system(params, cfg["horizon"])
+        n = params.n_controls
+        values = mesh.get("values", range(min(mesh.get("count", n), n)))
+        controls = ControlMesh(tuple(int(v) for v in values))
     else:
-        sys = build_tabular_system(cfg.tabular, cfg.horizon)
-        if cfg.control_values is not None:
-            controls = ControlMesh(tuple(int(v) for v in cfg.control_values))
-        elif cfg.control_count is not None:
-            controls = ControlMesh(tuple(range(min(cfg.control_count,
-                                                   cfg.tabular.n_controls))))
-        else:
-            controls = ControlMesh(tuple(range(cfg.tabular.n_controls)))
-    grid = StateGrid(lower=np.asarray(cfg.grid_lower),
-                     upper=np.asarray(cfg.grid_upper),
-                     counts=np.asarray(cfg.grid_nodes))
+        sys = build_fishery_system(params, cfg["horizon"])
+        controls = (ControlMesh(tuple(mesh["values"])) if "values" in mesh else
+                    ControlMesh.uniform(0.0, params.u_max, mesh["count"]))
     controls.validate_against(sys)
-    xi = cfg.initial_state[0] if len(cfg.initial_state) == 1 else np.asarray(
-        cfg.initial_state)
-    if not grid.contains(xi):
-        raise ConfigError("initial_state: outside the state grid box")
-    mesh = threshold_ray_mesh(cfg.ray_spacing, cfg.ray_count, cfg.ray_anchors)
-    if len(cfg.ray_anchors) != sys.threshold_dim:
-        raise ConfigError("ray_mesh.anchors: length must equal the threshold dimension")
-    return Problem(config=cfg, sys=sys, grid=grid, controls=controls, xi=xi,
-                   ray_mesh=mesh)
+    grid, ray, xi = cfg["state_grid"], cfg["ray_mesh"], cfg["initial_state"]
+    return Problem(config=cfg, params=params, sys=sys,
+                   grid=StateGrid(grid["lower"], grid["upper"], grid["nodes"]),
+                   controls=controls,
+                   xi=np.asarray(xi) if isinstance(xi, list) else xi,
+                   ray_mesh=threshold_ray_mesh(ray["spacing"], ray["count"],
+                                               ray["anchors"]))

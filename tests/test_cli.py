@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from robust_thresholds import cli
 from robust_thresholds.config import (ConfigError, build_problem, parse_config,
                                       serialize)
-from robust_thresholds.mesh import ThresholdRayMesh
+from robust_thresholds.mesh import INTERP_MODES, ThresholdRayMesh
 
 FISHERY_SMALL = """
 model:
@@ -49,13 +51,13 @@ class TestParsing:
     def test_minimal_fishery_gets_documented_defaults(self):
         cfg = parse_config("model: {kind: fishery-beverton-holt}\n"
                            "horizon: 50\ninitial_state: 60.0\n")
-        assert cfg.grid_lower == (0.0,) and cfg.grid_upper == (120.0,)
-        assert cfg.grid_nodes == (600,)
-        assert cfg.control_count == 200
-        assert cfg.ray_spacing == 0.5 and cfg.ray_count == 200
-        assert cfg.ray_anchors == (130.0, 60.0)
-        assert cfg.interpolation == "multilinear" and not cfg.full_grid
-        assert cfg.jobs == 1 and cfg.membership_tol == 0.0
+        assert cfg["state_grid"] == {"lower": [0.0], "upper": [120.0], "nodes": [600]}
+        assert cfg["control_mesh"] == {"count": 200}
+        assert cfg["ray_mesh"] == {"spacing": 0.5, "count": 200,
+                                   "anchors": [130.0, 60.0]}
+        assert cfg["options"]["interpolation"] == "multilinear"
+        assert not cfg["options"]["full_grid"]
+        assert cfg["options"]["jobs"] == 1 and cfg["tolerances"]["membership"] == 0.0
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError, match="unknown key: options.fast"):
@@ -92,10 +94,132 @@ class TestParsing:
                          "  terminal_values: [[0.0]]}\nhorizon: 0\ninitial_state: 0\n")
 
     def test_initial_state_must_be_inside_grid(self):
-        cfg = parse_config("model: {kind: fishery-beverton-holt}\nhorizon: 1\n"
-                           "initial_state: 500.0\n")
-        with pytest.raises(ConfigError, match="outside"):
-            build_problem(cfg)
+        with pytest.raises(ConfigError, match="initial_state: outside"):
+            parse_config("model: {kind: fishery-beverton-holt}\nhorizon: 1\n"
+                         "initial_state: 500.0\n")
+
+
+def _number(lo, hi):
+    """An int or a float in [lo, hi]; the resolved document holds floats."""
+    return st.one_of(st.integers(int(np.ceil(lo)), int(np.floor(hi))),
+                     st.floats(lo, hi, allow_nan=False))
+
+
+def _some(draw, strategies: dict) -> dict:
+    """A random subset of the keys of ``strategies``, each with a drawn value."""
+    return {key: draw(strategy) for key, strategy in strategies.items()
+            if draw(st.booleans())}
+
+
+def _stages(draw, horizon: int) -> tuple:
+    return (horizon + 1,) if draw(st.booleans()) else ()
+
+
+def _table(draw, elements, shape: tuple) -> list:
+    size = int(np.prod(shape))
+    flat = draw(st.lists(elements, min_size=size, max_size=size))
+    return np.asarray(flat, dtype=object).reshape(shape).tolist()
+
+
+@st.composite
+def documents(draw):
+    """Valid raw documents of both model kinds, each key present or not."""
+    if draw(st.booleans()):
+        model = {"kind": "fishery-beverton-holt", **_some(draw, {
+            "r_a": _number(0.01, 5), "r_b": _number(0.01, 5),
+            "K_a": _number(1, 200), "K_b": _number(1, 200),
+            "u_max": _number(1, 50), "m_big": _number(-1e6, 1e6),
+            "scenarios": st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "a"]])})}
+        m = 2
+        control = st.lists(_number(0, 1), min_size=1, max_size=4)
+        horizon = draw(st.integers(0, 4))
+    else:
+        n, u, w, m = (draw(st.integers(1, 3)) for _ in range(4))
+        horizon = draw(st.integers(0, 3))
+        # each table time-invariant (3 axes) or per stage (4 axes)
+        model = {"kind": "tabular",
+                 "transitions": _table(draw, st.integers(0, n - 1),
+                                       _stages(draw, horizon) + (n, u, w)),
+                 "stage_values": _table(draw, _number(-3, 3),
+                                        _stages(draw, horizon) + (n, u, m)),
+                 "terminal_values": _table(draw, _number(-3, 3), (n, m))}
+        control = st.lists(st.integers(0, u - 1).flatmap(
+            lambda i: st.sampled_from([i, float(i)])), min_size=1, max_size=3)
+    doc = {"model": model, "horizon": horizon,
+           "initial_state": draw(st.sampled_from([_number(0, 1), st.lists(
+               _number(0, 1), min_size=1, max_size=1)]).flatmap(lambda s: s))}
+    # every default box holds [0, 1]
+    grid = _some(draw, {"lower": _number(-5, 0).map(lambda v: [v]),
+                        "upper": _number(1, 50).map(lambda v: [v]),
+                        "nodes": st.integers(2, 30)})
+    if grid:
+        doc["state_grid"] = grid
+    which = draw(st.sampled_from(["none", "count", "values"]))
+    if which == "count":
+        doc["control_mesh"] = {"count": draw(st.integers(1, 30))}
+    elif which == "values":
+        doc["control_mesh"] = {"values": draw(control)}
+    for key, strategies in (
+            ("ray_mesh", {"spacing": _number(0.01, 5), "count": st.integers(0, 20),
+                          "anchors": st.lists(_number(0.5, 200), min_size=m,
+                                              max_size=m)}),
+            ("tolerances", {"membership": _number(0, 1),
+                            "front": st.one_of(st.none(), _number(0, 1))}),
+            ("options", {"interpolation": st.sampled_from(INTERP_MODES),
+                         "full_grid": st.booleans(), "oracle": st.booleans(),
+                         "jobs": st.integers(1, 4),
+                         "oracle_budget": st.integers(1, 10**8)})):
+        section = _some(draw, strategies)
+        if section or draw(st.booleans()):
+            doc[key] = section
+    if draw(st.booleans()):
+        doc["output_dir"] = draw(st.text("abc/_-. ", min_size=1, max_size=8))
+    return doc
+
+
+# (flag arguments, the key the flag sets, the value it sets)
+FLAGS = st.one_of(
+    st.text("abc/_-.", max_size=6).map(lambda v: ([f"--out={v}"], "output_dir", v)),
+    st.integers(-3, 4).map(lambda v: ([f"--jobs={v}"], "options.jobs", v)),
+    st.sampled_from(INTERP_MODES).map(
+        lambda v: (["--interp", v], "options.interpolation", v)),
+    st.just((["--full-grid"], "options.full_grid", True)),
+    st.just((["--oracle"], "options.oracle", True)))
+
+
+def _resolve(text, overrides=None):
+    """The resolved document, or the message of the ConfigError raised."""
+    try:
+        return parse_config(text, overrides)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+class TestOneDocument:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=documents())
+    def test_the_dump_parses_back_to_the_document(self, doc):
+        cfg = parse_config(yaml.safe_dump(doc))
+        assert parse_config(serialize(cfg)) == cfg
+        assert serialize(parse_config(serialize(cfg))) == serialize(cfg)
+        problem = build_problem(cfg)
+        assert problem.sys.threshold_dim == len(cfg["ray_mesh"]["anchors"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=documents(), flag=FLAGS)
+    def test_a_flag_resolves_as_the_key_it_sets(self, doc, flag):
+        argv, path, value = flag
+        args = cli.build_parser().parse_args(
+            ["membership", "--config", "run.yaml", "--threshold", "0", *argv])
+        by_flag = _resolve(yaml.safe_dump(doc), cli._flag_overrides(args))
+        *parents, key = path.split(".")
+        section = doc
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[key] = value
+        assert by_flag == _resolve(yaml.safe_dump(doc))
+        invalid = value == "" or (key == "jobs" and value < 1)
+        assert isinstance(by_flag, str) == invalid
 
 
 class TestCommands:
@@ -219,7 +343,42 @@ class TestCommands:
         cfgp = write_config(tmp_path, TABULAR_SMALL)
         assert cli.main(["value", "--config", str(cfgp), "--threshold", "0.5,0.5",
                          f"--jobs={jobs}"]) == 2
-        assert "--jobs: must be >= 1" in capsys.readouterr().err
+        assert "options.jobs: must be >= 1" in capsys.readouterr().err
+
+    def test_empty_out_flag_is_rejected(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, TABULAR_SMALL)
+        assert cli.main(["value", "--config", str(cfgp), "--threshold", "0.5,0.5",
+                         "--out", ""]) == 2
+        assert "error: output_dir: expected a nonempty string" in capsys.readouterr().err
+
+    def test_initial_state_needs_one_coordinate_per_grid_dimension(self, tmp_path,
+                                                                   capsys):
+        text = TABULAR_SMALL.replace("initial_state: 0", "initial_state: [0, 1]")
+        cfgp = write_config(tmp_path, text)
+        assert cli.main(["value", "--config", str(cfgp), "--threshold=0,0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: initial_state: expected 1 coordinate(s)")
+
+    @pytest.mark.parametrize("values, index", [
+        ("[0.9]", 0), ("[1.7]", 0), ("[0, 2]", 1), ("[1, -1.0]", 1)])
+    def test_tabular_control_values_are_control_indices(self, tmp_path, capsys,
+                                                        values, index):
+        text = TABULAR_SMALL.replace("ray_mesh:", f"control_mesh:\n  values: {values}\n"
+                                                  "ray_mesh:")
+        cfgp = write_config(tmp_path, text)
+        assert cli.main(["value", "--config", str(cfgp), "--threshold=0,0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: control_mesh.values[{index}]: expected a control index from 0 to 1")
+
+    def test_tabular_control_value_solves_its_index(self, tmp_path, capsys):
+        results = []
+        for values in ("[1.0]", "[1]", "[0]"):
+            text = TABULAR_SMALL.replace(
+                "ray_mesh:", f"control_mesh:\n  values: {values}\nray_mesh:")
+            cfgp = write_config(tmp_path, text)
+            assert cli.main(["value", "--config", str(cfgp), "--threshold=0,0"]) == 0
+            results.append(capsys.readouterr().out)
+        assert results[0] == results[1] != results[2]
 
     def test_weak_front_with_every_mesh_point_sustainable(self, tmp_path, capsys):
         # anchors this small put the whole ray mesh inside the set

@@ -251,6 +251,12 @@ def _rows(reach, n, n_nodes):
     return np.arange(n_nodes) if reach.full else reach.indices(n)
 
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: unlike ``np.array_equal``, this tells
+    -0.0 from 0.0 and one NaN pattern from another."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _reference_sweep(compiled, reach, stage_scores, terminal_score):
     """Value tables V_0..V_{N+1} and argmax choices of the optimizing sweep."""
     horizon, n_nodes = compiled.sys.horizon, compiled.grid.n_nodes
@@ -299,12 +305,12 @@ class TestStageKernelPinned:
         tables, policy = dp.sweep_scores(compiled, reach, stage_scores, terminal)
         values, choices = _reference_sweep(compiled, reach, stage_scores, terminal)
         for t, v in zip(tables, values):
-            assert np.array_equal(t.values, v, equal_nan=True)
-        assert np.array_equal(policy.choices, choices)
+            assert _same_bytes(t.values, v)
+        assert _same_bytes(policy.choices, choices)
         replayed = dp.sweep_policy(compiled, reach, policy, stage_scores, terminal)
         ref = _reference_policy_sweep(compiled, reach, choices, stage_scores, terminal)
         for t, v in zip(replayed, ref):
-            assert np.array_equal(t.values, v, equal_nan=True)
+            assert _same_bytes(t.values, v)
 
     def all_scores(self, compiled, c):
         c = np.asarray(c, dtype=float)
@@ -400,10 +406,10 @@ class TestFixedPointExit:
     def assert_reference(compiled, reach, scores, terminal, tables, policy):
         values, choices = _reference_sweep(compiled, reach, scores, terminal)
         for n, (t, v) in enumerate(zip(tables, values)):
-            assert np.array_equal(t.values, v, equal_nan=True)
+            assert _same_bytes(t.values, v)
             assert np.array_equal(t.populated, reach.masks[n])
         assert policy.choices.dtype == np.int32
-        assert np.array_equal(policy.choices, choices)
+        assert _same_bytes(policy.choices, choices)
 
     @staticmethod
     def tabular(stage_values, terminal_values, transitions, horizon):
@@ -521,7 +527,7 @@ class TestRowWindow:
         tables, policy = dp.sweep_scores(compiled, reach, scores, terminal)
         values, choices = _reference_sweep(compiled, reach, scores, terminal)
         for n, (t, v) in enumerate(zip(tables, values)):
-            assert t.values.tobytes() == v.tobytes()
+            assert _same_bytes(t.values, v)
             assert np.array_equal(t.populated, reach.masks[n])
         assert np.array_equal(policy.choices, choices)
 
