@@ -199,11 +199,12 @@ def parse_config(text: str, overrides: dict | None = None) -> dict:
     ray = _section(raw.get("ray_mesh", {}), "ray_mesh", _RAY_KEYS)
     spacing = _number(ray.get("spacing", 0.5), "ray_mesh.spacing")
     _require(spacing > 0, "ray_mesh.spacing", "must be > 0")
-    count = _integer(ray.get("count", 200), "ray_mesh.count")
-    _require(count >= 0, "ray_mesh.count", "must be >= 0")
+    ray_count = _integer(ray.get("count", 200), "ray_mesh.count")
+    _require(ray_count >= 0, "ray_mesh.count", "must be >= 0")
     if tabular:
-        hi = float(max(params.stage_values.max(), params.terminal_values.max()))
-        default_anchors = [hi + 1.0] * params.terminal_values.shape[1]
+        # one above every constraint value, or 1.0 where that is not positive
+        hi = float(max(params.stage_values.max(), params.terminal_values.max())) + 1.0
+        default_anchors = [hi if hi > 0 else 1.0] * params.terminal_values.shape[1]
     else:
         default_anchors = [upper[0] + 10.0, params.u_max + 20.0]
     anchors = _vector(ray.get("anchors", default_anchors), "ray_mesh.anchors")
@@ -245,7 +246,7 @@ def parse_config(text: str, overrides: dict | None = None) -> dict:
         "initial_state": initial_state[0] if len(initial_state) == 1 else initial_state,
         "state_grid": {"lower": lower, "upper": upper, "nodes": nodes},
         "control_mesh": control,
-        "ray_mesh": {"spacing": spacing, "count": count, "anchors": anchors},
+        "ray_mesh": {"spacing": spacing, "count": ray_count, "anchors": anchors},
         "tolerances": {"membership": membership, "front": front},
         "options": {"interpolation": interpolation, "full_grid": full_grid,
                     "oracle": oracle, "jobs": jobs, "oracle_budget": oracle_budget},

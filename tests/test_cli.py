@@ -87,6 +87,14 @@ class TestParsing:
         assert problem.sys.name == "tabular"
         assert len(problem.controls) == 2
 
+    def test_default_anchors_of_negative_tables_are_positive(self):
+        # one above every constraint value would be 0.0 here
+        cfg = parse_config("model: {kind: tabular, transitions: [[[0]]],\n"
+                           "  stage_values: [[[-1, -2]]], terminal_values: [[-3, -1]]}\n"
+                           "horizon: 0\ninitial_state: 0\n")
+        assert cfg["ray_mesh"]["anchors"] == [1.0, 1.0]
+        assert build_problem(cfg).ray_mesh.points.min() == 0.0
+
     def test_mixed_model_keys_rejected(self):
         with pytest.raises(ConfigError, match="model.r_a"):
             parse_config("model: {kind: tabular, r_a: 1.0,\n"
@@ -177,9 +185,11 @@ def documents(draw):
     return doc
 
 
-# (flag arguments, the key the flag sets, the value it sets)
+# (flag arguments, the key the flag sets, the value it sets); argparse reads
+# "--out=--" as an empty list, not as "--"
 FLAGS = st.one_of(
-    st.text("abc/_-.", max_size=6).map(lambda v: ([f"--out={v}"], "output_dir", v)),
+    st.text("abc/_-.", max_size=6).filter(lambda v: v != "--").map(
+        lambda v: ([f"--out={v}"], "output_dir", v)),
     st.integers(-3, 4).map(lambda v: ([f"--jobs={v}"], "options.jobs", v)),
     st.sampled_from(INTERP_MODES).map(
         lambda v: (["--interp", v], "options.interpolation", v)),
