@@ -90,6 +90,7 @@ def _model_params(model: dict) -> FisheryParams | TabularParams:
 
 
 def _parse_model(raw: Any) -> tuple[dict, FisheryParams | TabularParams]:
+    """The resolved model section of a raw one, and its parameters."""
     model = _section(raw, "model", _MODEL_KEYS)
     _require("kind" in model, "model.kind", "a model kind is required")
     kind = model["kind"]
