@@ -154,8 +154,8 @@ def documents(draw):
         control = st.lists(st.integers(0, u - 1).flatmap(
             lambda i: st.sampled_from([i, float(i)])), min_size=1, max_size=3)
     doc = {"model": model, "horizon": horizon,
-           "initial_state": draw(st.sampled_from([_number(0, 1), st.lists(
-               _number(0, 1), min_size=1, max_size=1)]).flatmap(lambda s: s))}
+           "initial_state": draw(st.one_of(_number(0, 1), st.lists(
+               _number(0, 1), min_size=1, max_size=1)))}
     # every default box holds [0, 1]
     grid = _some(draw, {"lower": _number(-5, 0).map(lambda v: [v]),
                         "upper": _number(1, 50).map(lambda v: [v]),
