@@ -7,14 +7,16 @@ its own directory under a temporary one.  In each export the same list of
 CLI invocations (``RUNS``) runs from the export's root, with the same
 configuration files and the same relative ``--out``, so the embedded
 configuration headers agree too.  Every output file, stdout, stderr or
-exit code that differs between the two sides is printed; the exit code is
-1 on any difference, else 0.  The default ``weak-front`` takes about half
-a minute per side.
+exit code that differs between the two sides is printed, a text item
+with the first lines of its unified diff; the exit code is 1 on any
+difference, else 0.  The default ``weak-front`` takes about half a minute
+per side.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import os
 import subprocess
 import sys
@@ -67,7 +69,6 @@ ray_mesh: {spacing: 2, count: 12, anchors: [110, 40]}
 tolerances: {membership: 1.0e-9, front: 0.5}
 options:
   interpolation: multilinear
-  full_grid: false
   oracle: true
   jobs: 1
   oracle_budget: 2000000
@@ -152,7 +153,9 @@ RUNS = (
      ("--threshold", "5,2")),
     ("weak-front-fishery-all-keys", "weak-front", "fishery-all-keys.yaml", ()),
     ("weak-front-flags", "weak-front", "coarse.yaml",
-     ("--jobs", "2", "--interp", "nearest", "--full-grid")),
+     ("--jobs", "2", "--interp", "nearest")),
+    ("strong-front-bad-perm", "strong-front", "coarse.yaml",
+     ("--start", "10,2", "--perm", "1,1")),
     ("oracle-check-tabular-stages", "oracle-check", "tabular-stages.yaml",
      ("--threshold", "1,1")),
     ("membership-tabular-stages", "membership", "tabular-stages.yaml",
@@ -190,6 +193,20 @@ def run_all(checkout: Path) -> dict:
     return outputs
 
 
+def diff_lines(parent: bytes, change: bytes, limit: int = 10) -> list:
+    """At most ``limit`` lines of the unified diff of two text items, with
+    no context lines; none when either is not UTF-8 text."""
+    try:
+        old, new = parent.decode(), change.decode()
+    except UnicodeDecodeError:
+        return []
+    lines = list(difflib.unified_diff(old.splitlines(), new.splitlines(),
+                                      lineterm="", n=0))[2:]  # no file names
+    if len(lines) > limit:
+        lines = lines[:limit - 1] + [f"... {len(lines) - limit + 1} more lines"]
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="commit of the parent side")
@@ -212,6 +229,9 @@ def main(argv=None) -> int:
         state = ("only in the parent" if (name, item) not in change else
                  "only in the change" if (name, item) not in parent else "differs")
         print(f"{name}: {item} {state}")
+        if state == "differs":
+            for line in diff_lines(parent[(name, item)], change[(name, item)]):
+                print(f"    {line}")
     print(f"{len(RUNS)} runs, {len(parent)} items: "
           f"{len(differ) or 'no'} difference{'' if len(differ) == 1 else 's'}")
     return 1 if differ else 0

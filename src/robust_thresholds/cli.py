@@ -25,7 +25,7 @@ import numpy as np
 from . import dp, oracle, pareto
 from .config import Problem, build_problem, parse_config, serialize
 from .fishery import robust_boundary
-from .mesh import INTERP_MODES, build_reachable_sets, full_grid_sets
+from .mesh import INTERP_MODES, build_reachable_sets
 from .model import as_threshold
 
 __all__ = ["main"]
@@ -56,15 +56,10 @@ def _write(path: Path, header: str, column_names: list, rows) -> None:
 
 def _prepare(problem: Problem):
     """Compile the discretization and reachable sets once per run."""
-    options = problem.config["options"]
     compiled = dp.compile_system(problem.sys, problem.grid, problem.controls,
-                                 interp=options["interpolation"])
-    if options["full_grid"]:
-        reach = full_grid_sets(problem.grid, problem.sys.horizon)
-    else:
-        reach = build_reachable_sets(problem.xi, problem.grid, problem.sys,
-                                     problem.controls, compiled=compiled)
-    return compiled, reach
+                                 interp=problem.config["options"]["interpolation"])
+    return compiled, build_reachable_sets(problem.xi, problem.grid, problem.sys,
+                                          problem.controls, compiled=compiled)
 
 
 def _flag_overrides(args) -> dict:
@@ -72,7 +67,6 @@ def _flag_overrides(args) -> dict:
     an unset flag leaves the document's value."""
     flags = {"output_dir": args.out, "options.jobs": args.jobs,
              "options.interpolation": args.interp,
-             "options.full_grid": args.full_grid or None,
              "options.oracle": getattr(args, "oracle", False) or None}
     return {key: value for key, value in flags.items() if value is not None}
 
@@ -97,8 +91,8 @@ def _solve(args):
     problem = _load_problem(args)
     c = _parse_threshold(args.threshold, problem.sys.threshold_dim)
     compiled, reach = _prepare(problem)
-    tables, _ = dp.backward_recursion(problem.sys, problem.grid, problem.controls,
-                                      reach, c, compiled=compiled, want_policy=False)
+    tables = dp.backward_recursion(problem.sys, problem.grid, problem.controls,
+                                   reach, c, compiled=compiled)
     return problem, c, tables, dp.robust_value(problem.xi, tables)
 
 
@@ -184,12 +178,12 @@ def cmd_weak_front(args) -> int:
     return 1 if front.diagnostics else 0
 
 
-def _membership_sample(front: pareto.FrontResult, problem: Problem,
-                       per_axis: int = 41):
-    """Reconstruction sample on a regular threshold grid below the anchors."""
+def _membership_sample(front: pareto.FrontResult, problem: Problem):
+    """Reconstruction sample on a regular threshold grid below the anchors,
+    41 values per axis."""
     m = problem.sys.threshold_dim
     hi = np.asarray(problem.config["ray_mesh"]["anchors"], dtype=float)
-    axes = [np.linspace(0.0, hi[j], per_axis) for j in range(m)]
+    axes = [np.linspace(0.0, hi[j], 41) for j in range(m)]
     out = []
     for c in itertools.product(*axes):
         out.append((c, front.contains(np.asarray(c))))
@@ -249,17 +243,33 @@ def _emit_plot_script(out: Path) -> None:
     (out / "plot_front.py").write_text(_PLOT_SCRIPT)
 
 
+def _parse_perms(text: str, m: int) -> list:
+    """The 0-based component orders of ``--perm``: every one for "all", else
+    the one 1-based permutation of 1..m given."""
+    if text == "all":
+        return list(itertools.permutations(range(m)))
+    try:
+        perm = tuple(int(v) - 1 for v in text.split(","))
+    except ValueError:
+        perm = ()
+    if sorted(perm) != list(range(m)):
+        raise ValueError(f"--perm {text!r} is neither 'all' nor a permutation of 1..{m}")
+    return [perm]
+
+
 def cmd_strong_front(args) -> int:
     problem = _load_problem(args)
     cfg = problem.config
     m = problem.sys.threshold_dim
     c0 = _parse_threshold(args.start, m)
+    perms = _parse_perms(args.perm, m)
     compiled, reach = _prepare(problem)
-    if args.perm == "all":
-        perms = list(itertools.permutations(range(m)))
-    else:
-        perm = tuple(int(v) - 1 for v in args.perm.split(","))
-        perms = [perm]
+    # every chain is walked before any file changes, so a run that fails
+    # leaves an earlier run's chains as they were
+    chains = [pareto.strong_pareto_point(
+        problem.xi, c0, perm, problem.sys, problem.grid, problem.controls,
+        compiled=compiled, reach=reach, membership_tol=cfg["tolerances"]["membership"])
+        for perm in perms]
     out = Path(cfg["output_dir"])
     labels = ["-".join(str(i + 1) for i in perm) for perm in perms]
     # drop the chains an earlier run left of permutations this run skips
@@ -269,11 +279,7 @@ def cmd_strong_front(args) -> int:
             path.unlink()
     header = _header("strong-front", problem)
     failed = False
-    for perm, label in zip(perms, labels):
-        chain = pareto.strong_pareto_point(
-            problem.xi, c0, perm, problem.sys, problem.grid, problem.controls,
-            compiled=compiled, reach=reach,
-            membership_tol=cfg["tolerances"]["membership"])
+    for perm, label, chain in zip(perms, labels, chains):
         cols = (["i", "sigma_i"] + [f"c_{j + 1}" for j in range(m)] + ["value"])
         rows = [(0, "", *chain.chain[0], float("nan"))]
         for i in range(m):
@@ -373,8 +379,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, help="parallel workers over thresholds")
     p.add_argument("--interp", choices=INTERP_MODES,
                    help="interpolation mode override")
-    p.add_argument("--full-grid", action="store_true", dest="full_grid",
-                   help="skip reachability, populate every grid node")
 
 
 def build_parser() -> argparse.ArgumentParser:

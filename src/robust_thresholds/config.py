@@ -76,7 +76,7 @@ _GRID_KEYS = ("lower", "upper", "nodes")
 _CONTROL_KEYS = ("count", "values")
 _RAY_KEYS = ("spacing", "count", "anchors")
 _TOL_KEYS = ("membership", "front")
-_OPTION_KEYS = ("interpolation", "full_grid", "oracle", "jobs", "oracle_budget")
+_OPTION_KEYS = ("interpolation", "oracle", "jobs", "oracle_budget")
 
 
 def _model_params(model: dict) -> FisheryParams | TabularParams:
@@ -101,6 +101,14 @@ def _parse_model(raw: Any) -> tuple[dict, FisheryParams | TabularParams]:
             _require(key not in model, f"model.{key}", "only valid for fishery models")
         for key in _TABULAR_KEYS:
             _require(key in model, f"model.{key}", "required for tabular models")
+        try:
+            steps = np.asarray(model["transitions"], dtype=float)
+        except (TypeError, ValueError):  # not a numeric table: _model_params says why
+            steps = np.zeros(0)
+        bad = steps[steps != np.round(steps)]
+        if bad.size:
+            raise ConfigError(f"model.transitions: expected integer node indices, "
+                              f"got {float(bad[0])!r}")
         resolved = {"kind": kind, **{key: model[key] for key in _TABULAR_KEYS}}
     else:
         for key in _TABULAR_KEYS:
@@ -152,6 +160,11 @@ def parse_config(text: str, overrides: dict | None = None) -> dict:
     _require("horizon" in raw, "horizon", "required")
     horizon = _integer(raw["horizon"], "horizon")
     _require(horizon >= 0, "horizon", "must be >= 0")
+    for key in ("transitions", "stage_values") if tabular else ():
+        table = getattr(params, key)
+        _require(table.ndim == 3 or len(table) == horizon + 1, f"model.{key}",
+                 f"a per-stage table needs horizon + 1 = {horizon + 1} stages, "
+                 f"got {len(table)}")
 
     _require("initial_state" in raw, "initial_state", "required")
     initial_state = _vector(raw["initial_state"], "initial_state")
@@ -227,8 +240,6 @@ def parse_config(text: str, overrides: dict | None = None) -> dict:
     interpolation = options.get("interpolation", "multilinear")
     _require(interpolation in INTERP_MODES, "options.interpolation",
              f"must be one of {list(INTERP_MODES)}")
-    full_grid = options.get("full_grid", False)
-    _require(isinstance(full_grid, bool), "options.full_grid", "expected a boolean")
     oracle = options.get("oracle", False)
     _require(isinstance(oracle, bool), "options.oracle", "expected a boolean")
     jobs = _integer(options.get("jobs", 1), "options.jobs")
@@ -249,8 +260,8 @@ def parse_config(text: str, overrides: dict | None = None) -> dict:
         "control_mesh": control,
         "ray_mesh": {"spacing": spacing, "count": ray_count, "anchors": anchors},
         "tolerances": {"membership": membership, "front": front},
-        "options": {"interpolation": interpolation, "full_grid": full_grid,
-                    "oracle": oracle, "jobs": jobs, "oracle_budget": oracle_budget},
+        "options": {"interpolation": interpolation, "oracle": oracle, "jobs": jobs,
+                    "oracle_budget": oracle_budget},
         "output_dir": output_dir,
     }
 

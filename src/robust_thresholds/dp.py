@@ -74,11 +74,11 @@ changed.  Say stage n repeats stage n+1: both have one stage table and
 one score array, R_n <= R_{n+1}, and the reachable sets are closed under
 the compiled system, so every stage-j read from R_j lands in R_{j+1}.
 ``build_reachable_sets`` guarantees closure for the system it was built
-from, ``full_grid_sets`` for any; hand-built sets sweep every row.  The
-support of a row is every node base + offsets over its controls,
-scenarios and corners, zero-weight corners included: 0 * NaN is NaN, and
-a changed value can flip the sign of a zero sum.  If V_{n+1} equals
-V_{n+2} bit for bit on a row's support, stage n runs on that row the float
+from, and sets marking every node under any; other hand-built sets sweep
+every row.  The support of a row is every node base + offsets over its
+controls, scenarios and corners, zero-weight corners included: 0 * NaN is
+NaN, and a changed value can flip the sign of a zero sum.  If V_{n+1}
+equals V_{n+2} bit for bit on a row's support, stage n runs on that row the float
 operations stage n+1 ran on it (the kernel's operations on a row do not
 depend on the other rows swept), so V_n there is V_{n+1} bit for bit and
 the argmax is stage n+1's: the row is copied.  The rows left form a
@@ -115,7 +115,7 @@ from functools import cached_property
 import numpy as np
 
 from .mesh import (ControlMesh, ReachableSets, StateGrid, UnpopulatedNodeError,
-                   _require_compiled_from, full_grid_sets, interpolate)
+                   _require_compiled_from, interpolate)
 from .model import SystemSpec, as_threshold
 
 __all__ = [
@@ -493,7 +493,7 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
     rows = reach.selectors[sys.horizon + 1]
     T[-1, rows] = terminal_score[rows]
     buf = compiled._scratch(len(compiled.controls) if fixed is None else 1)
-    closed = fixed is None and (reach.full or reach.closed_under is compiled)
+    closed = fixed is None and (reach.closed_under is compiled or reach.full)
     for n in range(sys.horizon, -1, -1):
         rows, sa, scores = reach.selectors[n], compiled.stage(n), stage_scores[n]
         if (closed and n < sys.horizon and n + 1 < reach.nested
@@ -561,26 +561,14 @@ def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
 # -- public solver entry points ---------------------------------------------
 
 
-def _ensure(sys, grid, controls, compiled, reach):
-    if compiled is None:
-        compiled = compile_system(sys, grid, controls)
-    _require_compiled_from(compiled, sys, grid, controls)
-    rch = reach if reach is not None else full_grid_sets(grid, sys.horizon)
-    return compiled, rch
-
-
 def backward_recursion(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
-                       reach: ReachableSets | None, c, *,
-                       compiled: CompiledSystem | None = None,
-                       want_policy: bool = True):
-    """Value tables V_{N+1}..V_0 for threshold c, plus the argmax policy.
-
-    Passing ``reach=None`` solves on the full grid.  Ties in the control
-    argmax resolve to the lowest mesh index.
-    """
-    comp, rch = _ensure(sys, grid, controls, compiled, reach)
-    stage_scores, terminal = comp.slack_scores(as_threshold(c, sys.threshold_dim))
-    return sweep_scores(comp, rch, stage_scores, terminal, want_policy=want_policy)
+                       reach: ReachableSets, c, *,
+                       compiled: CompiledSystem) -> list[ValueTable]:
+    """Value tables V_0..V_{N+1} for threshold c on the reachable sets
+    ``reach``, from the system ``compiled`` was built from."""
+    _require_compiled_from(compiled, sys, grid, controls)
+    stage_scores, terminal = compiled.slack_scores(as_threshold(c, sys.threshold_dim))
+    return sweep_scores(compiled, reach, stage_scores, terminal, want_policy=False)[0]
 
 
 def robust_value(xi, tables: list[ValueTable]) -> float:
@@ -589,17 +577,15 @@ def robust_value(xi, tables: list[ValueTable]) -> float:
 
 
 def solve_value(xi, c, sys: SystemSpec, grid: StateGrid, controls: ControlMesh, *,
-                compiled: CompiledSystem | None = None,
-                reach: ReachableSets | None = None) -> float:
+                compiled: CompiledSystem, reach: ReachableSets) -> float:
     """Convenience: build the tables for c and return W(xi, c)."""
-    tables, _ = backward_recursion(sys, grid, controls, reach, c,
-                                   compiled=compiled, want_policy=False)
-    return robust_value(xi, tables)
+    return robust_value(xi, backward_recursion(sys, grid, controls, reach, c,
+                                               compiled=compiled))
 
 
 def membership(xi, c, sys: SystemSpec, grid: StateGrid, controls: ControlMesh, *,
-               tol: float = 0.0, compiled: CompiledSystem | None = None,
-               reach: ReachableSets | None = None) -> bool:
+               tol: float = 0.0, compiled: CompiledSystem,
+               reach: ReachableSets) -> bool:
     """True iff W(xi, c) >= -tol; tol defaults to exact zero."""
     if tol < 0:
         raise ValueError("membership tolerance must be >= 0")

@@ -218,5 +218,4 @@ def build_fishery_system(params: FisheryParams, horizon: int,
         scenario_sets=tuple(scen for _ in range(horizon + 1)),
         time_invariant=True,
         batchable=True,
-        name="fishery-beverton-holt",
     )

@@ -229,22 +229,24 @@ class ReachableSets:
     NaN that marks unpopulated nodes (NaN lanes are dramatically slower).
 
     The sets are closed under a compiled system when every stage-n read
-    from a node of ``masks[n]`` lands in ``masks[n+1]``.  Full sets are
-    closed under any compiled system; ``build_reachable_sets`` records
-    the one it was built from in ``closed_under``.  Sets built by hand
-    carry no such guarantee.
+    from a node of ``masks[n]`` lands in ``masks[n+1]``.  Sets that mark
+    every node (``full``) are closed under any compiled system;
+    ``build_reachable_sets`` records the one it was built from in
+    ``closed_under``.  Other sets built by hand carry no such guarantee.
     """
 
     grid: StateGrid
     masks: np.ndarray  # (N+2, n_nodes) bool
-    full: bool = False
     closed_under: object = field(default=None, repr=False, compare=False)
     selectors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.full and not self.masks.all():
-            raise ValueError("full reachable sets must mark every node")
         object.__setattr__(self, "selectors", tuple(_row_selector(m) for m in self.masks))
+
+    @cached_property
+    def full(self) -> bool:
+        """True when every mask marks every node."""
+        return bool(self.masks.all())
 
     @cached_property
     def nested(self) -> int:
@@ -273,12 +275,6 @@ def _row_selector(mask: np.ndarray):
     if len(rows) and rows[-1] - rows[0] + 1 == len(rows):
         return slice(int(rows[0]), int(rows[-1]) + 1)
     return rows
-
-
-def full_grid_sets(grid: StateGrid, horizon: int) -> ReachableSets:
-    """Degenerate reachable sets marking every node at every stage."""
-    masks = np.ones((horizon + 2, grid.n_nodes), dtype=bool)
-    return ReachableSets(grid=grid, masks=masks, full=True)
 
 
 def _require_compiled_from(compiled, sys: SystemSpec, grid: StateGrid,

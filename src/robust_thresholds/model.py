@@ -99,7 +99,6 @@ class SystemSpec:
     scenario_sets: tuple
     time_invariant: bool = False
     batchable: bool = False
-    name: str = "custom"
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -330,5 +329,4 @@ def build_tabular_system(params: TabularParams, horizon: int) -> SystemSpec:
         scenario_sets=tuple(scen for _ in range(horizon + 1)),
         time_invariant=time_invariant,
         batchable=True,
-        name="tabular",
     )

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dp
-from .mesh import ControlMesh, StateGrid, ThresholdRayMesh, interpolate
+from .mesh import (ControlMesh, StateGrid, ThresholdRayMesh, _require_compiled_from,
+                   interpolate)
 from .model import SystemSpec, as_threshold
 
 __all__ = [
@@ -36,6 +37,10 @@ __all__ = [
     "threshold_of_policy",
     "strong_pareto_point",
 ]
+
+
+# chain postconditions and masked-step checks hold within this of exact
+DIAG_TOL = 1e-9
 
 
 class InfeasibleThresholdError(ValueError):
@@ -76,17 +81,17 @@ class FrontResult:
         reval = self.revalidated
         return float(np.max(np.abs(reval))) if len(reval) else float("nan")
 
-    def contains(self, query, tol: float = 0.0) -> bool:
+    def contains(self, query) -> bool:
         """Membership in front + lower cone: query <= some front point."""
         if len(self.points) == 0:
             raise ValueError("empty front has no membership predicate")
         q = as_threshold(query, self.points.shape[1])
-        return bool(np.any(np.all(q <= self.points + tol, axis=1)))
+        return bool(np.any(np.all(q <= self.points, axis=1)))
 
 
-def weak_front(xi, mesh, sys: SystemSpec, grid: StateGrid, controls: ControlMesh, *,
-               front_tol: float | None = None, compiled=None, reach=None,
-               jobs: int = 1) -> FrontResult:
+def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
+               controls: ControlMesh, *, front_tol: float | None = None, compiled,
+               reach, jobs: int = 1) -> FrontResult:
     """Project every valid threshold-mesh point onto the weak Pareto front.
 
     Mesh points that turn out sustainable (W >= 0, anchors too small) are
@@ -94,15 +99,14 @@ def weak_front(xi, mesh, sys: SystemSpec, grid: StateGrid, controls: ControlMesh
     compared against ``front_tol``; residuals beyond it and out-of-order
     sweep coordinates become diagnostics, not errors.
     """
-    points = mesh.points if isinstance(mesh, ThresholdRayMesh) else np.atleast_2d(
-        np.asarray(mesh, dtype=float))
+    points = mesh.points
     if len(points) == 0:
         raise ValueError("empty threshold mesh")
-    comp, rch = dp._ensure(sys, grid, controls, compiled, reach)
-    tol = front_tol if front_tol is not None else default_front_tol(grid, comp.interp)
+    _require_compiled_from(compiled, sys, grid, controls)
+    tol = front_tol if front_tol is not None else default_front_tol(grid, compiled.interp)
 
     def solve(c):
-        return dp.solve_value(xi, c, sys, grid, controls, compiled=comp, reach=rch)
+        return dp.solve_value(xi, c, sys, grid, controls, compiled=compiled, reach=reach)
 
     def solve_all(thresholds) -> np.ndarray:
         if jobs > 1:
@@ -126,8 +130,7 @@ def weak_front(xi, mesh, sys: SystemSpec, grid: StateGrid, controls: ControlMesh
         diagnostics.append(
             f"front revalidation residual {worst:.6g} exceeds tolerance {tol:.6g}")
 
-    if isinstance(mesh, ThresholdRayMesh):
-        _sweep_order_diagnostics(mesh, values, diagnostics)
+    _sweep_order_diagnostics(mesh, values, diagnostics)
 
     return FrontResult(points=front_points, sources=sources, values=values[valid],
                        revalidated=reval, skipped_sources=points[~valid],
@@ -158,7 +161,7 @@ class ConstrainedValue:
 
 def constrained_maximin_value(xi, component: int, c, sys: SystemSpec,
                               grid: StateGrid, controls: ControlMesh, *,
-                              compiled=None, reach=None) -> ConstrainedValue:
+                              compiled, reach) -> ConstrainedValue:
     """Best worst-case over scenarios of the running minimum of one
     constraint component, over policies that keep the whole constraint
     vector at or above c.
@@ -170,16 +173,16 @@ def constrained_maximin_value(xi, component: int, c, sys: SystemSpec,
     if not 0 <= component < sys.threshold_dim:
         raise ValueError(f"component {component} out of range")
     cv = as_threshold(c, sys.threshold_dim)
-    comp, rch = dp._ensure(sys, grid, controls, compiled, reach)
-    stage_scores, terminal = comp.masked_component_scores(cv, component)
-    tables, policy = dp.sweep_scores(comp, rch, stage_scores, terminal)
+    _require_compiled_from(compiled, sys, grid, controls)
+    stage_scores, terminal = compiled.masked_component_scores(cv, component)
+    tables, policy = dp.sweep_scores(compiled, reach, stage_scores, terminal)
     value = dp.robust_value(xi, tables)
     return ConstrainedValue(value=value, feasible=value > dp.NEG_INF_CUTOFF,
                             policy=policy)
 
 
 def threshold_of_policy(xi, policy: dp.FeedbackPolicy, sys: SystemSpec,
-                        grid: StateGrid, *, compiled=None, reach=None) -> np.ndarray:
+                        grid: StateGrid, *, compiled, reach) -> np.ndarray:
     """Threshold vector a feedback policy guarantees from xi.
 
     Component j is the closed-loop worst case over scenarios of the minimum
@@ -187,11 +190,11 @@ def threshold_of_policy(xi, policy: dp.FeedbackPolicy, sys: SystemSpec,
     policy-evaluation sweep per component.  The result is itself a
     sustainable threshold for the policy that produced it.
     """
-    comp, rch = dp._ensure(sys, grid, policy.controls, compiled, reach)
+    _require_compiled_from(compiled, sys, grid, policy.controls)
     out = np.empty(sys.threshold_dim)
     for j in range(sys.threshold_dim):
-        stage_scores, terminal = comp.component_scores(j)
-        tables = dp.sweep_policy(comp, rch, policy, stage_scores, terminal)
+        stage_scores, terminal = compiled.component_scores(j)
+        tables = dp.sweep_policy(compiled, reach, policy, stage_scores, terminal)
         out[j] = interpolate(tables[0], xi)
     return out
 
@@ -286,9 +289,8 @@ def _largest_accepted_level(solve, c: np.ndarray, comp: int, tol: float,
 
 
 def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
-                        controls: ControlMesh, *, compiled=None, reach=None,
-                        membership_tol: float = 0.0,
-                        diag_tol: float = 1e-9) -> StrongChain:
+                        controls: ControlMesh, *, compiled, reach,
+                        membership_tol: float = 0.0) -> StrongChain:
     """Walk the sequential constrained-maximin chain from a sustainable c0.
 
     ``sigma`` is a permutation of the component indices 0..m-1 giving the
@@ -297,11 +299,11 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
     into a threshold vector, and continues from there.  Postconditions
     (chain monotone componentwise; step values reappearing as fixed
     coordinates of all later chain members) are measured and reported as
-    residuals; violations beyond ``diag_tol`` become diagnostics.
+    residuals; violations beyond ``DIAG_TOL`` become diagnostics.
 
     A masked step is kept only when its rolled-up threshold gamma is >= c,
     equals c on the components already maximized and has the step value as
-    gamma[sigma_i] (each within ``diag_tol``), and W(gamma) >= -membership_tol.
+    gamma[sigma_i] (each within ``DIAG_TOL``), and W(gamma) >= -membership_tol.
     On coarse multilinear grids the masked step can blend its sentinel
     across cells, or roll up a threshold that W rejects.  Such a step
     instead raises only component sigma_i of the current member to the
@@ -315,10 +317,10 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
     if sorted(perm) != list(range(m)):
         raise ValueError(f"sigma {sigma!r} is not a permutation of 0..{m - 1}")
     c0v = as_threshold(c0, m)
-    comp, rch = dp._ensure(sys, grid, controls, compiled, reach)
+    _require_compiled_from(compiled, sys, grid, controls)
 
     def solve(c):
-        return dp.solve_value(xi, c, sys, grid, controls, compiled=comp, reach=rch)
+        return dp.solve_value(xi, c, sys, grid, controls, compiled=compiled, reach=reach)
 
     w0 = solve(c0v)
     if w0 < -membership_tol:
@@ -330,20 +332,20 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
     for i in range(m):
         c = chain[-1]
         res = constrained_maximin_value(xi, perm[i], c, sys, grid, controls,
-                                        compiled=comp, reach=rch)
+                                        compiled=compiled, reach=reach)
         gamma = None
         if res.feasible:
             gamma = threshold_of_policy(xi, res.policy, sys, grid,
-                                        compiled=comp, reach=rch)
+                                        compiled=compiled, reach=reach)
             done = list(perm[:i])
-            if not (np.all(gamma >= c - diag_tol)
-                    and np.all(np.abs(gamma[done] - c[done]) <= diag_tol)
-                    and abs(gamma[perm[i]] - res.value) <= diag_tol
+            if not (np.all(gamma >= c - DIAG_TOL)
+                    and np.all(np.abs(gamma[done] - c[done]) <= DIAG_TOL)
+                    and abs(gamma[perm[i]] - res.value) <= DIAG_TOL
                     and solve(gamma) >= -membership_tol):
                 gamma = None
         if gamma is None:
             # W is at most the best stage-0 slack, so W rejects `upper`
-            upper = comp.stage(0).g_vals[..., perm[i]].max() + membership_tol + 1.0
+            upper = compiled.stage(0).g_vals[..., perm[i]].max() + membership_tol + 1.0
             gamma = c.copy()
             gamma[perm[i]] = _largest_accepted_level(solve, c, perm[i],
                                                      membership_tol, upper)
@@ -364,10 +366,10 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
                 residual_identity, abs(values_arr[i] - chain_arr[j, perm[i]]))
 
     diagnostics = []
-    if residual_monotone > diag_tol:
+    if residual_monotone > DIAG_TOL:
         diagnostics.append(
             f"chain monotonicity violated by {residual_monotone:.6g}")
-    if residual_identity > diag_tol:
+    if residual_identity > DIAG_TOL:
         diagnostics.append(
             f"value identities violated by {residual_identity:.6g}")
     return StrongChain(permutation=perm, chain=chain_arr, values=values_arr,

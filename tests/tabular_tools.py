@@ -1,6 +1,7 @@
 """Shared helpers: random finite-state instances, a small 2-D system,
-tiny reference recursions and the definitional rollout, admissibility and
-slack references the solver and oracles are checked against.
+full-grid reachable sets, tiny reference recursions and the definitional
+rollout, admissibility and slack references the solver and oracles are
+checked against.
 
 The generated systems have node-to-node transitions, so nearest-node solves
 carry zero discretization error and every grid quantity can be checked
@@ -119,6 +120,13 @@ def single_scenario_instance(inst: TabularInstance, scenario: int) -> TabularIns
     return TabularInstance(params=params, sys=sys, grid=inst.grid,
                            controls=inst.controls, compiled=compiled, reach=reach,
                            xi=inst.xi)
+
+
+def full_grid_sets(grid: rt.StateGrid, horizon: int) -> rt.ReachableSets:
+    """Reachable sets marking every node at every stage: the reference the
+    reachable-set solves are compared with."""
+    masks = np.ones((horizon + 2, grid.n_nodes), dtype=bool)
+    return rt.ReachableSets(grid=grid, masks=masks)
 
 
 def solve_w(inst: TabularInstance, c) -> float:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -7,6 +9,7 @@ from robust_thresholds import cli
 from robust_thresholds.config import (ConfigError, build_problem, parse_config,
                                       serialize)
 from robust_thresholds.mesh import INTERP_MODES, ThresholdRayMesh
+from robust_thresholds.model import TabularParams
 
 FISHERY_SMALL = """
 model:
@@ -55,9 +58,9 @@ class TestParsing:
         assert cfg["control_mesh"] == {"count": 200}
         assert cfg["ray_mesh"] == {"spacing": 0.5, "count": 200,
                                    "anchors": [130.0, 60.0]}
-        assert cfg["options"]["interpolation"] == "multilinear"
-        assert not cfg["options"]["full_grid"]
-        assert cfg["options"]["jobs"] == 1 and cfg["tolerances"]["membership"] == 0.0
+        assert cfg["options"] == {"interpolation": "multilinear", "oracle": False,
+                                  "jobs": 1, "oracle_budget": 10_000_000}
+        assert cfg["tolerances"]["membership"] == 0.0
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError, match="unknown key: options.fast"):
@@ -84,7 +87,7 @@ class TestParsing:
         cfg = parse_config(TABULAR_SMALL.format(out=tmp_path))
         assert parse_config(serialize(cfg)) == cfg
         problem = build_problem(cfg)
-        assert problem.sys.name == "tabular"
+        assert isinstance(problem.params, TabularParams)
         assert len(problem.controls) == 2
 
     def test_default_anchors_of_negative_tables_are_positive(self):
@@ -174,7 +177,7 @@ def documents(draw):
             ("tolerances", {"membership": _number(0, 1),
                             "front": st.one_of(st.none(), _number(0, 1))}),
             ("options", {"interpolation": st.sampled_from(INTERP_MODES),
-                         "full_grid": st.booleans(), "oracle": st.booleans(),
+                         "oracle": st.booleans(),
                          "jobs": st.integers(1, 4),
                          "oracle_budget": st.integers(1, 10**8)})):
         section = _some(draw, strategies)
@@ -193,7 +196,6 @@ FLAGS = st.one_of(
     st.integers(-3, 4).map(lambda v: ([f"--jobs={v}"], "options.jobs", v)),
     st.sampled_from(INTERP_MODES).map(
         lambda v: (["--interp", v], "options.interpolation", v)),
-    st.just((["--full-grid"], "options.full_grid", True)),
     st.just((["--oracle"], "options.oracle", True)))
 
 
@@ -343,10 +345,20 @@ class TestCommands:
         other = tmp_path / "elsewhere"
         assert cli.main(["weak-front", "--config", str(cfgp),
                          "--out", str(other), "--jobs", "2",
-                         "--interp", "nearest", "--full-grid"]) == 0
+                         "--interp", "nearest"]) == 0
         header = (other / "front.csv").read_text().splitlines()
         assert any("interpolation: nearest" in l for l in header)
-        assert any("full_grid: true" in l for l in header)
+        assert any("jobs: 2" in l for l in header)
+
+    def test_full_grid_option_is_exit_code_2(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, TABULAR_SMALL.replace(
+            "interpolation: nearest", "interpolation: nearest\n  full_grid: true"))
+        assert cli.main(["value", "--config", str(cfgp), "--threshold=0,0"]) == 2
+        assert "unknown key: options.full_grid" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["value", "--config", str(write_config(tmp_path, TABULAR_SMALL)),
+                      "--threshold=0,0", "--full-grid"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_exit_code_2(self, tmp_path, capsys, jobs):
@@ -465,6 +477,23 @@ class TestCommands:
         # the chain of the second run starts at its own start
         assert "\n0.0,,0.5,0.5,nan\n" in (out / "strong_chain_2-1.csv").read_text()
 
+    def test_failed_strong_front_keeps_the_earlier_chains(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, TABULAR_SMALL)
+        out = tmp_path / "out"
+        argv = ["strong-front", "--config", str(cfgp)]
+        assert cli.main(argv + ["--start", "0,0"]) == 0
+        chains = {p.name: p.read_bytes() for p in out.glob("strong_chain_*.csv")}
+        assert sorted(chains) == ["strong_chain_1-2.csv", "strong_chain_2-1.csv"]
+        capsys.readouterr()
+        for perm in ("1,1", "0,1", "1,2,3", "a,b"):
+            assert cli.main(argv + ["--start", "0,0", "--perm", perm]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --perm {perm!r} is neither 'all' nor a permutation of 1..2\n")
+        # a start no chain can leave from fails in its first chain
+        assert cli.main(argv + ["--start", "1000,1000", "--perm", "2,1"]) == 2
+        assert "not sustainable" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.glob("strong_chain_*.csv")} == chains
+
     @pytest.mark.parametrize("model, names", [
         # three states and three controls of stage values for two of each
         ("stage_values: [[[1, 1], [1, 1], [1, 1]], [[1, 1], [1, 1], [1, 1]],"
@@ -481,6 +510,25 @@ class TestCommands:
         assert cli.main(["value", "--config", str(cfgp), "--threshold=0,0"]) == 2
         assert capsys.readouterr().err.startswith("error: model: ")
         with pytest.raises(ConfigError, match=f"model: {names}"):
+            parse_config(text.format(out=tmp_path))
+
+    @pytest.mark.parametrize("key", ["transitions", "stage_values"])
+    def test_per_stage_tables_need_one_stage_per_stage(self, tmp_path, capsys, key):
+        # the table as the one stage of a per-stage table, against horizon 2
+        cfgp = write_config(tmp_path, re.sub(f"({key}: )(.*)", r"\1[\2]", TABULAR_SMALL))
+        assert cli.main(["value", "--config", str(cfgp), "--threshold=0,0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model.{key}: a per-stage table needs horizon + 1 = 3 stages, "
+            f"got 1\n")
+
+    @pytest.mark.parametrize("entry", ["0.9", "-0.5", ".nan"])
+    def test_tabular_transitions_are_integers(self, tmp_path, capsys, entry):
+        text = TABULAR_SMALL.replace("transitions: [[[0, 1]", f"transitions: [[[{entry}, 1]")
+        cfgp = write_config(tmp_path, text)
+        assert cli.main(["value", "--config", str(cfgp), "--threshold=0,0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: model.transitions: expected integer node indices, got ")
+        with pytest.raises(ConfigError, match="model.transitions"):
             parse_config(text.format(out=tmp_path))
 
     def test_debug_export_value_tables(self, tmp_path, capsys, monkeypatch):

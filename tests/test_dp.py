@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 import robust_thresholds as rt
 from robust_thresholds import dp, oracle
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
-from robust_thresholds.mesh import UnpopulatedNodeError, full_grid_sets
+from robust_thresholds.mesh import UnpopulatedNodeError
 
-from tabular_tools import (plane_problem, product_problem, random_instance, solve_w,
-                           stage_slack, terminal_slack)
+from tabular_tools import (full_grid_sets, plane_problem, product_problem,
+                           random_instance, solve_w, stage_slack, terminal_slack)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,9 @@ class TestBackwardRecursion:
         grid = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[241])
         controls = rt.ControlMesh.uniform(0.0, 40.0, 21)
         c = np.asarray([10.0, 5.0])
-        tables, _ = rt.backward_recursion(sys, grid, controls, None, c)
+        compiled = rt.compile_system(sys, grid, controls)
+        tables = rt.backward_recursion(sys, grid, controls, full_grid_sets(grid, 0), c,
+                                       compiled=compiled)
         # brute force at a grid node, exact dynamics, clamped interpolation
         x = 60.0
         best = -np.inf
@@ -93,10 +95,10 @@ class TestBackwardRecursion:
         inst = random_instance(rng)
         c = np.asarray([0.5, -1.25])
         for t in (0.5, -2.0, 1.75):
-            base, _ = rt.backward_recursion(inst.sys, inst.grid, inst.controls,
-                                            inst.reach, c, compiled=inst.compiled)
-            shifted, _ = rt.backward_recursion(inst.sys, inst.grid, inst.controls,
-                                               inst.reach, c + t, compiled=inst.compiled)
+            base = rt.backward_recursion(inst.sys, inst.grid, inst.controls,
+                                         inst.reach, c, compiled=inst.compiled)
+            shifted = rt.backward_recursion(inst.sys, inst.grid, inst.controls,
+                                            inst.reach, c + t, compiled=inst.compiled)
             for tb, ts in zip(base, shifted):
                 rows = np.flatnonzero(tb.populated)
                 np.testing.assert_allclose(ts.values[rows], tb.values[rows] - t,
@@ -108,10 +110,10 @@ class TestBackwardRecursion:
         for _ in range(5):
             c = rng.uniform(0, 30, size=2)
             bump = rng.uniform(0, 5, size=2)
-            lo, _ = rt.backward_recursion(sys, grid, controls, reach, c,
-                                          compiled=compiled)
-            hi, _ = rt.backward_recursion(sys, grid, controls, reach, c + bump,
-                                          compiled=compiled)
+            lo = rt.backward_recursion(sys, grid, controls, reach, c,
+                                       compiled=compiled)
+            hi = rt.backward_recursion(sys, grid, controls, reach, c + bump,
+                                       compiled=compiled)
             for tl, th in zip(lo, hi):
                 rows = np.flatnonzero(tl.populated)
                 assert np.all(th.values[rows] <= tl.values[rows] + 1e-12)
@@ -119,8 +121,8 @@ class TestBackwardRecursion:
     def test_stage_value_bounded_by_best_stage_slack(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
         c = np.asarray([10.0, 5.0])
-        tables, _ = rt.backward_recursion(sys, grid, controls, reach, c,
-                                          compiled=compiled)
+        tables = rt.backward_recursion(sys, grid, controls, reach, c,
+                                       compiled=compiled)
         coords = grid.node_coordinates()[:, 0]
         for n in range(sys.horizon + 1):
             rows = np.flatnonzero(tables[n].populated)
@@ -139,10 +141,10 @@ class TestBackwardRecursion:
         c = rng.uniform(-6.0, 6.0, size=2)
         raised = c.copy()
         raised[comp] += step
-        lo, _ = rt.backward_recursion(inst.sys, inst.grid, inst.controls, inst.reach,
-                                      c, compiled=inst.compiled)
-        hi, _ = rt.backward_recursion(inst.sys, inst.grid, inst.controls, inst.reach,
-                                      raised, compiled=inst.compiled)
+        lo = rt.backward_recursion(inst.sys, inst.grid, inst.controls, inst.reach,
+                                   c, compiled=inst.compiled)
+        hi = rt.backward_recursion(inst.sys, inst.grid, inst.controls, inst.reach,
+                                   raised, compiled=inst.compiled)
         for tl, th in zip(lo, hi):
             rows = np.flatnonzero(tl.populated)
             assert np.all(th.values[rows] <= tl.values[rows])
@@ -163,10 +165,10 @@ class TestBackwardRecursion:
         raised = c.copy()
         raised[comp] = max(c[comp] + step, np.nextafter(c[comp], np.inf))
         for sets in (reach, full_grid_sets(grid, sys.horizon)):
-            lo, _ = rt.backward_recursion(sys, grid, controls, sets, c,
-                                          compiled=compiled, want_policy=False)
-            hi, _ = rt.backward_recursion(sys, grid, controls, sets, raised,
-                                          compiled=compiled, want_policy=False)
+            lo = rt.backward_recursion(sys, grid, controls, sets, c,
+                                       compiled=compiled)
+            hi = rt.backward_recursion(sys, grid, controls, sets, raised,
+                                       compiled=compiled)
             for tl, th in zip(lo, hi):
                 rows = np.flatnonzero(tl.populated)
                 assert np.all(th.values[rows] <= tl.values[rows])
@@ -179,8 +181,7 @@ class TestBackwardRecursion:
         # operations on the chosen control, so the tables agree bit for bit
         sys, grid, controls, compiled, reach = coarse_fishery
         c = np.asarray([c1, c2])
-        tables, policy = rt.backward_recursion(sys, grid, controls, reach, c,
-                                               compiled=compiled)
+        tables, policy = dp.sweep_scores(compiled, reach, *compiled.slack_scores(c))
         replayed = dp.sweep_policy(compiled, reach, policy, *compiled.slack_scores(c))
         for tv, tr in zip(tables, replayed):
             # populated on the same nodes, equal bit for bit there
@@ -218,10 +219,8 @@ class TestBackwardRecursion:
     def test_bitwise_deterministic_across_runs(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
         c = np.asarray([12.0, 6.0])
-        t1, p1 = rt.backward_recursion(sys, grid, controls, reach, c,
-                                       compiled=compiled)
-        t2, p2 = rt.backward_recursion(sys, grid, controls, reach, c,
-                                       compiled=compiled)
+        t1, p1 = dp.sweep_scores(compiled, reach, *compiled.slack_scores(c))
+        t2, p2 = dp.sweep_scores(compiled, reach, *compiled.slack_scores(c))
         for a, b in zip(t1, t2):
             np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(p1.choices, p2.choices)
@@ -229,10 +228,11 @@ class TestBackwardRecursion:
     def test_reachable_and_full_grid_agree_on_reachable_nodes(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
         c = np.asarray([8.0, 3.0])
-        part, _ = rt.backward_recursion(sys, grid, controls, reach, c,
-                                        compiled=compiled)
-        full, _ = rt.backward_recursion(sys, grid, controls, None, c,
-                                        compiled=compiled)
+        part = rt.backward_recursion(sys, grid, controls, reach, c,
+                                     compiled=compiled)
+        full = rt.backward_recursion(sys, grid, controls,
+                                     full_grid_sets(grid, sys.horizon), c,
+                                     compiled=compiled)
         for tp, tf in zip(part, full):
             rows = np.flatnonzero(tp.populated)
             np.testing.assert_array_equal(tp.values[rows], tf.values[rows])
@@ -470,7 +470,8 @@ class TestFixedPointExit:
         sys, grid, controls, compiled = self.tabular(
             np.full((n_states, 2, 2), 2.0), np.ones((n_states, 2)), transitions, horizon)
         calls = self.kernel_calls(monkeypatch)
-        rt.backward_recursion(sys, grid, controls, None, [0.0, 0.0], compiled=compiled)
+        rt.backward_recursion(sys, grid, controls, full_grid_sets(grid, horizon),
+                              [0.0, 0.0], compiled=compiled)
         assert len(calls) == 1
         # nested, but stage 1 reads node 1 from R_2 = {0}
         masks = np.ones((horizon + 2, n_states), dtype=bool)
@@ -481,12 +482,18 @@ class TestFixedPointExit:
             rt.backward_recursion(sys, grid, controls, hand_built, [0.0, 0.0],
                                   compiled=compiled)
 
-    def test_full_sets_must_mark_every_node(self, fishery3):
-        sys, grid, *_ = fishery3
+    def test_hand_built_full_sets_take_the_exit(self, coarse_fishery, monkeypatch):
+        # sets marking every node are closed under any compiled system, so
+        # sets built by hand stop early too
+        sys, grid, controls, compiled, _ = coarse_fishery
         masks = np.ones((sys.horizon + 2, grid.n_nodes), dtype=bool)
-        masks[1, 0] = False
-        with pytest.raises(ValueError, match="every node"):
-            rt.ReachableSets(grid=grid, masks=masks, full=True)
+        full = rt.ReachableSets(grid=grid, masks=masks)
+        assert full.closed_under is None
+        scores, terminal = compiled.slack_scores(np.asarray([0.0, 60.0]))
+        calls = self.kernel_calls(monkeypatch)
+        tables, policy = dp.sweep_scores(compiled, full, scores, terminal)
+        assert len(calls) < sys.horizon + 1
+        self.assert_reference(compiled, full, scores, terminal, tables, policy)
 
 
 def _banded_tabular(rng, interp):
@@ -577,6 +584,29 @@ class TestRowWindow:
         reachable = reach.masks[::-1][1:len(swept) + 1].sum(axis=1)
         assert 0 < min(swept) and np.all(swept <= reachable)
         assert np.any(swept < reachable)
+
+    def test_hand_built_full_sets_sweep_a_window(self, coarse_fishery, monkeypatch):
+        # an all-true set built by hand counts as closed: on the coarse
+        # fishery and on a banded tabular system its sweep equals the
+        # reference bit for bit, on fewer kernel rows than a full loop
+        swept = []
+        kernel = dp._stage_kernel
+
+        def counted(V, base, *args):
+            swept.append(len(base))
+            return kernel(V, base, *args)
+
+        monkeypatch.setattr(dp, "_stage_kernel", counted)
+        sys, grid, _, compiled, _ = coarse_fishery
+        banded = _banded_tabular(np.random.default_rng(0), "multilinear")[:3]
+        for (sys, grid, compiled), c in (((sys, grid, compiled), [30.0, 7.0]),
+                                         (banded, [0.0, 0.0])):
+            masks = np.ones((sys.horizon + 2, grid.n_nodes), dtype=bool)
+            full = rt.ReachableSets(grid=grid, masks=masks)
+            swept.clear()
+            self.assert_bitwise_reference(compiled, full,
+                                          *compiled.slack_scores(np.asarray(c)))
+            assert 0 < sum(swept) < (sys.horizon + 1) * grid.n_nodes
 
     def test_a_zero_weight_corner_is_in_the_support(self):
         # node 0 maps to itself, a multilinear read 1 * V(0) + 0 * V(1);
@@ -670,15 +700,15 @@ class TestKernelScratch:
         thresholds = [np.asarray([a, b]) for a in (0.0, 10.0, 25.0, 40.0)
                       for b in (1.0, 6.0)]
         serial_compiled = rt.compile_system(sys, grid, controls)
-        want = [rt.backward_recursion(sys, grid, controls, reach, c,
-                                      compiled=serial_compiled) for c in thresholds]
+        want = [dp.sweep_scores(serial_compiled, reach, *serial_compiled.slack_scores(c))
+                for c in thresholds]
         n_threads = 4
         barrier = threading.Barrier(n_threads, timeout=60)
 
         def solve_all(cs):
             barrier.wait()
-            out = [rt.backward_recursion(sys, grid, controls, reach, c,
-                                         compiled=compiled) for c in cs]
+            out = [dp.sweep_scores(compiled, reach, *compiled.slack_scores(c))
+                   for c in cs]
             return out, compiled._local.buf
 
         interval = sys_module.getswitchinterval()
@@ -817,8 +847,9 @@ class TestRobustValueAndMembership:
     def test_value_on_node_is_node_value(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
         c = np.asarray([0.0, 0.0])
-        tables, _ = rt.backward_recursion(sys, grid, controls, None, c,
-                                          compiled=compiled)
+        tables = rt.backward_recursion(sys, grid, controls,
+                                       full_grid_sets(grid, sys.horizon), c,
+                                       compiled=compiled)
         assert rt.robust_value(60.0, tables) == tables[0].values[120]
 
     def test_zero_thresholds_sustainable_from_capacity(self, fishery3):
@@ -885,8 +916,8 @@ class TestRobustValueAndMembership:
 class TestUnpopulatedDetection:
     def test_querying_outside_reachable_tube_raises(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
-        tables, _ = rt.backward_recursion(sys, grid, controls, reach,
-                                          [0.0, 0.0], compiled=compiled)
+        tables = rt.backward_recursion(sys, grid, controls, reach,
+                                       [0.0, 0.0], compiled=compiled)
         assert not tables[0].populated[0]
         with pytest.raises(UnpopulatedNodeError):
             rt.interpolate(tables[0], 0.0)

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 import robust_thresholds as rt
 from robust_thresholds.dp import ValueTable
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
-from robust_thresholds.mesh import UnpopulatedNodeError, full_grid_sets
+from robust_thresholds.mesh import UnpopulatedNodeError
 
-from tabular_tools import exact_reachable_nodes, random_instance
+from tabular_tools import exact_reachable_nodes, full_grid_sets, random_instance
 
 
 def table_1d(grid, values, interp="multilinear"):

@@ -7,13 +7,19 @@ import robust_thresholds as rt
 from robust_thresholds import dp, oracle, pareto
 from robust_thresholds.mesh import ThresholdRayMesh
 
-from tabular_tools import (PLANE_XI, bisect_level, plane_problem, random_instance,
-                           solve_w, tree_constrained_value, tree_policy_threshold)
+from tabular_tools import (PLANE_XI, bisect_level, full_grid_sets, plane_problem,
+                           random_instance, solve_w, tree_constrained_value,
+                           tree_policy_threshold)
 
 
 @pytest.fixture(scope="module")
 def tab():
     return random_instance(np.random.default_rng(20))
+
+
+def points_mesh(points) -> ThresholdRayMesh:
+    """A threshold mesh of the given points and no axis sweeps."""
+    return ThresholdRayMesh(points=np.asarray(points, dtype=float), sweeps=())
 
 
 class TestProjection:
@@ -22,8 +28,8 @@ class TestProjection:
 
     def test_projection_arithmetic(self, tab):
         mesh = [[10.0, 10.0], [7.0, 12.0]]
-        front = pareto.weak_front(tab.xi, mesh, tab.sys, tab.grid, tab.controls,
-                                  compiled=tab.compiled, reach=tab.reach)
+        front = pareto.weak_front(tab.xi, points_mesh(mesh), tab.sys, tab.grid,
+                                  tab.controls, compiled=tab.compiled, reach=tab.reach)
         values = np.asarray([solve_w(tab, c) for c in mesh])
         assert np.all(values < 0)
         assert np.array_equal(front.sources, mesh)
@@ -32,8 +38,8 @@ class TestProjection:
 
     def test_sustainable_point_reported_as_skipped(self, tab):
         mesh = [[-50.0, -50.0], [10.0, 10.0]]
-        front = pareto.weak_front(tab.xi, mesh, tab.sys, tab.grid, tab.controls,
-                                  compiled=tab.compiled, reach=tab.reach)
+        front = pareto.weak_front(tab.xi, points_mesh(mesh), tab.sys, tab.grid,
+                                  tab.controls, compiled=tab.compiled, reach=tab.reach)
         assert np.array_equal(front.skipped_sources, [[-50.0, -50.0]])
         assert np.array_equal(front.skipped_values, [solve_w(tab, [-50.0, -50.0])])
         assert front.skipped_values[0] >= 0
@@ -45,8 +51,8 @@ class TestProjection:
         projected = 0
         for _ in range(6):
             inst = random_instance(rng)
-            front = pareto.weak_front(inst.xi, [[7.0, 7.0]], inst.sys, inst.grid,
-                                      inst.controls, compiled=inst.compiled,
+            front = pareto.weak_front(inst.xi, points_mesh([[7.0, 7.0]]), inst.sys,
+                                      inst.grid, inst.controls, compiled=inst.compiled,
                                       reach=inst.reach)
             for p, w in zip(front.points, front.revalidated):
                 assert w == solve_w(inst, p)
@@ -91,12 +97,13 @@ class TestWeakFront:
 
     def test_empty_mesh_rejected(self, tab):
         with pytest.raises(ValueError, match="empty"):
-            pareto.weak_front(tab.xi, np.zeros((0, 2)), tab.sys, tab.grid,
-                              tab.controls, compiled=tab.compiled, reach=tab.reach)
+            pareto.weak_front(tab.xi, points_mesh(np.zeros((0, 2))), tab.sys,
+                              tab.grid, tab.controls, compiled=tab.compiled,
+                              reach=tab.reach)
 
     def test_sustainable_mesh_points_skipped_with_warning(self, tab):
-        mesh_pts = np.asarray([[-10.0, -10.0], [7.0, 7.0]])
-        front = pareto.weak_front(tab.xi, mesh_pts, tab.sys, tab.grid, tab.controls,
+        mesh = points_mesh([[-10.0, -10.0], [7.0, 7.0]])
+        front = pareto.weak_front(tab.xi, mesh, tab.sys, tab.grid, tab.controls,
                                   compiled=tab.compiled, reach=tab.reach)
         assert len(front.skipped_sources) == 1
         assert any("enlarge the anchors" in d for d in front.diagnostics)
@@ -151,13 +158,14 @@ class TestConstrainedMaximin:
         grid = rt.StateGrid(lower=[0.0], upper=[1.0], counts=[2])
         controls = rt.ControlMesh((0, 1))
         compiled = rt.compile_system(sys, grid, controls, interp="nearest")
+        full = full_grid_sets(grid, sys.horizon)
         # from state 1 with c deep inside, maximizing component 0 gives 3 > c_0
         res = pareto.constrained_maximin_value(1.0, 0, [-1.0, -1.0], sys, grid,
-                                               controls, compiled=compiled)
+                                               controls, compiled=compiled, reach=full)
         assert res.value == 3.0 > -1.0
         # pinning c_1 = 1 forces staying in state 1; component 1 value equals c_1
         res2 = pareto.constrained_maximin_value(1.0, 1, [-1.0, 1.0], sys, grid,
-                                                controls, compiled=compiled)
+                                                controls, compiled=compiled, reach=full)
         assert res2.value == 1.0
 
 
@@ -188,19 +196,18 @@ class TestThresholdOfPolicy:
         grid = rt.StateGrid(lower=[0.0], upper=[1.0], counts=[2])
         controls = rt.ControlMesh((0, 1))
         compiled = rt.compile_system(sys, grid, controls, interp="nearest")
-        _, policy = rt.backward_recursion(sys, grid, controls, None,
-                                          [0.0, 0.0], compiled=compiled)
+        full = full_grid_sets(grid, sys.horizon)
+        _, policy = dp.sweep_scores(compiled, full, *compiled.slack_scores(np.zeros(2)))
         gamma = pareto.threshold_of_policy(0.0, policy, sys, grid,
-                                           compiled=compiled)
+                                           compiled=compiled, reach=full)
         np.testing.assert_allclose(gamma, [2.5, -1.0])
 
     def test_matches_reference_tree_evaluation(self):
         rng = np.random.default_rng(26)
         for _ in range(6):
             inst = random_instance(rng)
-            _, policy = rt.backward_recursion(
-                inst.sys, inst.grid, inst.controls, inst.reach, [-3.0, -3.0],
-                compiled=inst.compiled)
+            _, policy = dp.sweep_scores(inst.compiled, inst.reach,
+                                        *inst.compiled.slack_scores(np.full(2, -3.0)))
             gamma = pareto.threshold_of_policy(inst.xi, policy, inst.sys, inst.grid,
                                                compiled=inst.compiled,
                                                reach=inst.reach)
