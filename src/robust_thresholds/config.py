@@ -105,7 +105,7 @@ def _parse_model(raw: Any) -> tuple[dict, FisheryParams | TabularParams]:
             steps = np.asarray(model["transitions"], dtype=float)
         except (TypeError, ValueError):  # not a numeric table: _model_params says why
             steps = np.zeros(0)
-        bad = steps[steps != np.round(steps)]
+        bad = steps[~(np.isfinite(steps) & (steps == np.round(steps)))]
         if bad.size:
             raise ConfigError(f"model.transitions: expected integer node indices, "
                               f"got {float(bad[0])!r}")

@@ -521,7 +521,7 @@ class TestCommands:
             f"error: model.{key}: a per-stage table needs horizon + 1 = 3 stages, "
             f"got 1\n")
 
-    @pytest.mark.parametrize("entry", ["0.9", "-0.5", ".nan"])
+    @pytest.mark.parametrize("entry", ["0.9", "-0.5", ".nan", ".inf"])
     def test_tabular_transitions_are_integers(self, tmp_path, capsys, entry):
         text = TABULAR_SMALL.replace("transitions: [[[0, 1]", f"transitions: [[[{entry}, 1]")
         cfgp = write_config(tmp_path, text)
