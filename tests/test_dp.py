@@ -597,10 +597,9 @@ class TestRowWindow:
             return kernel(V, base, *args)
 
         monkeypatch.setattr(dp, "_stage_kernel", counted)
-        sys, grid, _, compiled, _ = coarse_fishery
+        fishery = tuple(coarse_fishery[i] for i in (0, 1, 3))
         banded = _banded_tabular(np.random.default_rng(0), "multilinear")[:3]
-        for (sys, grid, compiled), c in (((sys, grid, compiled), [30.0, 7.0]),
-                                         (banded, [0.0, 0.0])):
+        for (sys, grid, compiled), c in ((fishery, [30.0, 7.0]), (banded, [0.0, 0.0])):
             masks = np.ones((sys.horizon + 2, grid.n_nodes), dtype=bool)
             full = rt.ReachableSets(grid=grid, masks=masks)
             swept.clear()
