@@ -193,17 +193,17 @@ def run_all(checkout: Path) -> dict:
     return outputs
 
 
-def diff_lines(parent: bytes, change: bytes, limit: int = 10) -> list:
-    """At most ``limit`` lines of the unified diff of two text items, with
-    no context lines; none when either is not UTF-8 text."""
+def diff_lines(parent: bytes, change: bytes) -> list:
+    """At most 10 lines of the unified diff of two text items, with no
+    context lines; none when either is not UTF-8 text."""
     try:
         old, new = parent.decode(), change.decode()
     except UnicodeDecodeError:
         return []
     lines = list(difflib.unified_diff(old.splitlines(), new.splitlines(),
                                       lineterm="", n=0))[2:]  # no file names
-    if len(lines) > limit:
-        lines = lines[:limit - 1] + [f"... {len(lines) - limit + 1} more lines"]
+    if len(lines) > 10:
+        lines = lines[:9] + [f"... {len(lines) - 9} more lines"]
     return lines
 
 

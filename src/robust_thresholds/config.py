@@ -82,9 +82,13 @@ _OPTION_KEYS = ("interpolation", "oracle", "jobs", "oracle_budget")
 def _model_params(model: dict) -> FisheryParams | TabularParams:
     """The parameters a resolved model section describes."""
     if model["kind"] == "tabular":
-        tables = [np.asarray(model[key], dtype=dtype)
-                  for key, dtype in zip(_TABULAR_KEYS, (int, float, float))]
-        return TabularParams(np.arange(tables[-1].shape[0], dtype=float), *tables)
+        steps, *values = (np.asarray(model[key], dtype=float) for key in _TABULAR_KEYS)
+        bad = steps[~(np.isfinite(steps) & (steps == np.round(steps)))]
+        if bad.size:
+            raise ConfigError(f"model.transitions: expected integer node indices, "
+                              f"got {float(bad[0])!r}")
+        return TabularParams(np.arange(values[-1].shape[0], dtype=float),
+                             steps.astype(int), *values)
     return FisheryParams.default(**{key: model[key] for key in _FISHERY_DEFAULTS}
                                  | {"scenarios": tuple(model["scenarios"])})
 
@@ -101,14 +105,6 @@ def _parse_model(raw: Any) -> tuple[dict, FisheryParams | TabularParams]:
             _require(key not in model, f"model.{key}", "only valid for fishery models")
         for key in _TABULAR_KEYS:
             _require(key in model, f"model.{key}", "required for tabular models")
-        try:
-            steps = np.asarray(model["transitions"], dtype=float)
-        except (TypeError, ValueError):  # not a numeric table: _model_params says why
-            steps = np.zeros(0)
-        bad = steps[~(np.isfinite(steps) & (steps == np.round(steps)))]
-        if bad.size:
-            raise ConfigError(f"model.transitions: expected integer node indices, "
-                              f"got {float(bad[0])!r}")
         resolved = {"kind": kind, **{key: model[key] for key in _TABULAR_KEYS}}
     else:
         for key in _TABULAR_KEYS:
@@ -125,6 +121,8 @@ def _parse_model(raw: Any) -> tuple[dict, FisheryParams | TabularParams]:
             "scenarios": scenarios}
     try:
         params = _model_params(resolved)
+    except ConfigError:
+        raise
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"model: {exc}") from exc
     if kind == "tabular":
