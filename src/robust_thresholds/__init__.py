@@ -10,8 +10,8 @@ Beverton-Holt harvesting benchmark with closed-form comparison sets are
 included.
 """
 
-from .dp import (FeedbackPolicy, ValueTable, backward_recursion, compile_system,
-                 membership, robust_value, solve_value)
+from .dp import (ValueTable, backward_recursion, compile_system, membership,
+                 robust_value, solve_value)
 from .fishery import FisheryParams, build_fishery_system
 from .mesh import (ControlMesh, ReachableSets, StateGrid, ThresholdRayMesh,
                    build_reachable_sets, interpolate, threshold_ray_mesh)
@@ -29,7 +29,7 @@ __all__ = [
     "IntervalControlSpace", "FiniteControlSpace",
     "StateGrid", "ControlMesh", "ThresholdRayMesh", "threshold_ray_mesh",
     "ReachableSets", "build_reachable_sets", "interpolate",
-    "ValueTable", "FeedbackPolicy", "compile_system", "backward_recursion",
+    "ValueTable", "compile_system", "backward_recursion",
     "robust_value", "solve_value", "membership",
     "OracleBudget", "closedloop_maximin", "openloop_maximin",
     "exhaustive_membership",

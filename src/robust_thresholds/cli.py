@@ -91,8 +91,7 @@ def _solve(args):
     problem = _load_problem(args)
     c = _parse_threshold(args.threshold, problem.sys.threshold_dim)
     compiled, reach = _prepare(problem)
-    tables = dp.backward_recursion(problem.sys, problem.grid, problem.controls,
-                                   reach, c, compiled=compiled)
+    tables = dp.backward_recursion(compiled, reach, c)
     return problem, c, tables, dp.robust_value(problem.xi, tables)
 
 
@@ -223,8 +222,9 @@ try:
 except OSError:
     ANALYTIC = False
 if ANALYTIC:
-    ax.plot(ana["x"], ana["sigma_a"], "r--", linewidth=1, label="surplus, scenario a")
-    ax.plot(ana["x"], ana["sigma_b"], "b--", linewidth=1, label="surplus, scenario b")
+    for name in [n for n in ana if n.startswith("sigma_")]:
+        ax.plot(ana["x"], ana[name], "--", linewidth=1,
+                label="surplus, scenario " + name[len("sigma_"):])
     ax.plot(ana["x"], ana["robust_boundary"], "k-", linewidth=1.5,
             label="robust boundary H")
 ax.set_xlabel("stock floor")

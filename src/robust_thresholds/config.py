@@ -113,8 +113,9 @@ def _parse_model(raw: Any) -> tuple[dict, FisheryParams | TabularParams]:
         _require(isinstance(scenarios, (list, tuple)) and len(scenarios) >= 1,
                  "model.scenarios", "expected a nonempty list")
         scenarios = [str(s) for s in scenarios]
-        for s in scenarios:
+        for i, s in enumerate(scenarios):
             _require(s in ("a", "b"), "model.scenarios", f"unknown scenario {s!r}")
+            _require(s not in scenarios[:i], "model.scenarios", f"duplicate scenario {s!r}")
         resolved = {"kind": kind, **{
             key: _number(model.get(key, default), f"model.{key}")
             for key, default in _FISHERY_DEFAULTS.items() if key != "scenarios"},

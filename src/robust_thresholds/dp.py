@@ -121,7 +121,6 @@ from .model import SystemSpec, as_threshold
 __all__ = [
     "NEG_INF",
     "ValueTable",
-    "FeedbackPolicy",
     "CompiledSystem",
     "compile_system",
     "backward_recursion",
@@ -144,22 +143,11 @@ class ValueTable:
     stage: int
     grid: StateGrid
     values: np.ndarray
-    interp: str = "multilinear"
+    interp: str
 
     @property
     def populated(self) -> np.ndarray:
         return ~np.isnan(self.values)
-
-
-@dataclass
-class FeedbackPolicy:
-    """Per stage and node, the index into the control mesh attaining the max.
-
-    ``choices[n, i] == -1`` marks nodes the solve never populated.
-    """
-
-    controls: ControlMesh
-    choices: np.ndarray  # (N+1, n_nodes) int32
 
 
 # -- discretization compiled once, reused across thresholds ----------------
@@ -364,9 +352,13 @@ class CompiledSystem:
 
         A state-control pair scores its comp-th constraint value when the
         whole constraint vector clears c, and the infeasibility sentinel
-        otherwise; same for terminal states.
+        otherwise; same for terminal states.  The vector clears c exactly
+        when its slack is >= 0: the sign of a float difference is exact,
+        and NaN fails both tests.
         """
-        return self._scores(lambda g: np.where(_clears(g, c), g[..., comp], NEG_INF))
+        buf = self._scratch(len(self.controls))
+        return self._scores(
+            lambda g: np.where(_slack(g, c, buf) >= 0, g[..., comp], NEG_INF))
 
     def component_scores(self, comp: int):
         """Raw per-component constraint values (used for policy rollup)."""
@@ -386,14 +378,6 @@ def _slack(g: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
     diff = buf[:out.size].reshape(out.shape)
     for i in range(1, g.shape[-1]):
         np.minimum(out, np.subtract(g[..., i], c[i], out=diff), out=out)
-    return out
-
-
-def _clears(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """True where every constraint component on the last axis of g is >= c."""
-    out = g[..., 0] >= c[0]
-    for i in range(1, g.shape[-1]):
-        out &= g[..., i] >= c[i]
     return out
 
 
@@ -542,32 +526,31 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
 def sweep_scores(compiled: CompiledSystem, reach: ReachableSets,
                  stage_scores: list[np.ndarray], terminal_score: np.ndarray,
                  *, want_policy: bool = True):
-    """Backward optimization sweep; returns (tables, policy_or_None)."""
-    tables, choices = _sweep(compiled, reach, stage_scores, terminal_score,
-                             None, want_policy)
-    policy = (FeedbackPolicy(controls=compiled.controls, choices=choices)
-              if want_policy else None)
-    return tables, policy
+    """Backward optimization sweep; returns (tables, choices or None).
+
+    ``choices[n, i]`` is the index into ``compiled.controls`` attaining the
+    max at stage n and node i, -1 on nodes the sweep never populated.
+    """
+    return _sweep(compiled, reach, stage_scores, terminal_score, None, want_policy)
 
 
 def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
-                 policy: FeedbackPolicy, stage_scores: list[np.ndarray],
+                 choices: np.ndarray, stage_scores: list[np.ndarray],
                  terminal_score: np.ndarray):
-    """Backward evaluation sweep of a fixed feedback policy."""
-    return _sweep(compiled, reach, stage_scores, terminal_score,
-                  policy.choices, False)[0]
+    """Backward evaluation sweep of the feedback policy ``choices`` (as
+    ``sweep_scores`` returns them)."""
+    return _sweep(compiled, reach, stage_scores, terminal_score, choices, False)[0]
 
 
 # -- public solver entry points ---------------------------------------------
 
 
-def backward_recursion(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
-                       reach: ReachableSets, c, *,
-                       compiled: CompiledSystem) -> list[ValueTable]:
+def backward_recursion(compiled: CompiledSystem, reach: ReachableSets,
+                       c) -> list[ValueTable]:
     """Value tables V_0..V_{N+1} for threshold c on the reachable sets
-    ``reach``, from the system ``compiled`` was built from."""
-    _require_compiled_from(compiled, sys, grid, controls)
-    stage_scores, terminal = compiled.slack_scores(as_threshold(c, sys.threshold_dim))
+    ``reach``."""
+    stage_scores, terminal = compiled.slack_scores(
+        as_threshold(c, compiled.sys.threshold_dim))
     return sweep_scores(compiled, reach, stage_scores, terminal, want_policy=False)[0]
 
 
@@ -578,9 +561,10 @@ def robust_value(xi, tables: list[ValueTable]) -> float:
 
 def solve_value(xi, c, sys: SystemSpec, grid: StateGrid, controls: ControlMesh, *,
                 compiled: CompiledSystem, reach: ReachableSets) -> float:
-    """Convenience: build the tables for c and return W(xi, c)."""
-    return robust_value(xi, backward_recursion(sys, grid, controls, reach, c,
-                                               compiled=compiled))
+    """Build the tables for c and return W(xi, c); ``compiled`` must have
+    been built from (sys, grid, controls)."""
+    _require_compiled_from(compiled, sys, grid, controls)
+    return robust_value(xi, backward_recursion(compiled, reach, c))
 
 
 def membership(xi, c, sys: SystemSpec, grid: StateGrid, controls: ControlMesh, *,

@@ -96,7 +96,7 @@ class StateGrid:
     def clamp(self, points: np.ndarray) -> np.ndarray:
         return np.clip(points, self.lower, self.upper)
 
-    def corner_offsets(self, mode: str = "multilinear") -> np.ndarray:
+    def corner_offsets(self, mode: str) -> np.ndarray:
         """Flat-index offsets of the corners ``locate`` returns, relative to
         corner 0 of the cell: (2**dim,) in multilinear mode, (1,) zeros in
         nearest mode."""
@@ -105,7 +105,7 @@ class StateGrid:
         bits = np.array(list(itertools.product((0, 1), repeat=self.dim)))
         return np.ravel_multi_index(tuple(bits.T), tuple(self.counts)).astype(np.intp)
 
-    def locate(self, points: np.ndarray, mode: str = "multilinear"):
+    def locate(self, points: np.ndarray, mode: str):
         """Corner node indices and weights for a batch of query points.
 
         points: (B, dim).  Returns (idx, w) with shape (B, 2**dim) for

@@ -216,6 +216,9 @@ class TabularParams:
         if self.terminal_values.shape[0] != n or self.terminal_values.ndim != 2:
             raise ValueError("terminal_values must have shape (X, m)")
         t, g = self.transitions.shape, self.stage_values.shape
+        if 0 in (t[-2], t[-1], g[-1]):
+            raise ValueError(f"transitions {t} and stage_values {g} need at least "
+                             f"one control, scenario and constraint component")
         if t[-3] != n or g[-3] != n:
             raise ValueError(f"transitions {t} and stage_values {g} must both "
                              f"cover the {n} states of node_coords")

@@ -23,15 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dp
-from .mesh import (ControlMesh, StateGrid, ThresholdRayMesh, _require_compiled_from,
-                   interpolate)
+from .mesh import ControlMesh, StateGrid, ThresholdRayMesh
 from .model import SystemSpec, as_threshold
 
 __all__ = [
     "InfeasibleThresholdError",
     "FrontResult",
     "StrongChain",
-    "ConstrainedValue",
     "weak_front",
     "constrained_maximin_value",
     "threshold_of_policy",
@@ -102,7 +100,6 @@ def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
     points = mesh.points
     if len(points) == 0:
         raise ValueError("empty threshold mesh")
-    _require_compiled_from(compiled, sys, grid, controls)
     tol = front_tol if front_tol is not None else default_front_tol(grid, compiled.interp)
 
     def solve(c):
@@ -150,52 +147,37 @@ def _sweep_order_diagnostics(mesh: ThresholdRayMesh, values: np.ndarray,
                 f"(worst step {float(drops.min()):.6g})")
 
 
-@dataclass
-class ConstrainedValue:
-    """Result of one component-constrained maximin solve."""
-
-    value: float
-    feasible: bool
-    policy: dp.FeedbackPolicy
-
-
-def constrained_maximin_value(xi, component: int, c, sys: SystemSpec,
-                              grid: StateGrid, controls: ControlMesh, *,
-                              compiled, reach) -> ConstrainedValue:
+def constrained_maximin_value(xi, component: int, c, *, compiled, reach):
     """Best worst-case over scenarios of the running minimum of one
     constraint component, over policies that keep the whole constraint
-    vector at or above c.
+    vector at or above c.  Returns (value, choices), the optimal feedback
+    policy as ``dp.sweep_scores`` gives it.
 
     Infeasible state-control pairs are masked to the negative sentinel; a
-    root value at the sentinel level means c is not sustainable at this
-    discretization, flagged via ``feasible``.
+    root value at or below ``dp.NEG_INF_CUTOFF`` means c is not sustainable
+    at this discretization.
     """
-    if not 0 <= component < sys.threshold_dim:
+    m = compiled.sys.threshold_dim
+    if not 0 <= component < m:
         raise ValueError(f"component {component} out of range")
-    cv = as_threshold(c, sys.threshold_dim)
-    _require_compiled_from(compiled, sys, grid, controls)
-    stage_scores, terminal = compiled.masked_component_scores(cv, component)
-    tables, policy = dp.sweep_scores(compiled, reach, stage_scores, terminal)
-    value = dp.robust_value(xi, tables)
-    return ConstrainedValue(value=value, feasible=value > dp.NEG_INF_CUTOFF,
-                            policy=policy)
+    stage_scores, terminal = compiled.masked_component_scores(as_threshold(c, m),
+                                                              component)
+    tables, choices = dp.sweep_scores(compiled, reach, stage_scores, terminal)
+    return dp.robust_value(xi, tables), choices
 
 
-def threshold_of_policy(xi, policy: dp.FeedbackPolicy, sys: SystemSpec,
-                        grid: StateGrid, *, compiled, reach) -> np.ndarray:
-    """Threshold vector a feedback policy guarantees from xi.
+def threshold_of_policy(xi, choices: np.ndarray, *, compiled, reach) -> np.ndarray:
+    """Threshold vector the feedback policy ``choices`` guarantees from xi.
 
     Component j is the closed-loop worst case over scenarios of the minimum
     over time of constraint component j (terminal included), computed by one
     policy-evaluation sweep per component.  The result is itself a
     sustainable threshold for the policy that produced it.
     """
-    _require_compiled_from(compiled, sys, grid, policy.controls)
-    out = np.empty(sys.threshold_dim)
-    for j in range(sys.threshold_dim):
-        stage_scores, terminal = compiled.component_scores(j)
-        tables = dp.sweep_policy(compiled, reach, policy, stage_scores, terminal)
-        out[j] = interpolate(tables[0], xi)
+    out = np.empty(compiled.sys.threshold_dim)
+    for j in range(len(out)):
+        tables = dp.sweep_policy(compiled, reach, choices, *compiled.component_scores(j))
+        out[j] = dp.robust_value(xi, tables)
     return out
 
 
@@ -317,7 +299,6 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
     if sorted(perm) != list(range(m)):
         raise ValueError(f"sigma {sigma!r} is not a permutation of 0..{m - 1}")
     c0v = as_threshold(c0, m)
-    _require_compiled_from(compiled, sys, grid, controls)
 
     def solve(c):
         return dp.solve_value(xi, c, sys, grid, controls, compiled=compiled, reach=reach)
@@ -331,16 +312,15 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
     values, searched = [], []
     for i in range(m):
         c = chain[-1]
-        res = constrained_maximin_value(xi, perm[i], c, sys, grid, controls,
-                                        compiled=compiled, reach=reach)
+        value, choices = constrained_maximin_value(xi, perm[i], c,
+                                                   compiled=compiled, reach=reach)
         gamma = None
-        if res.feasible:
-            gamma = threshold_of_policy(xi, res.policy, sys, grid,
-                                        compiled=compiled, reach=reach)
+        if value > dp.NEG_INF_CUTOFF:
+            gamma = threshold_of_policy(xi, choices, compiled=compiled, reach=reach)
             done = list(perm[:i])
             if not (np.all(gamma >= c - DIAG_TOL)
                     and np.all(np.abs(gamma[done] - c[done]) <= DIAG_TOL)
-                    and abs(gamma[perm[i]] - res.value) <= DIAG_TOL
+                    and abs(gamma[perm[i]] - value) <= DIAG_TOL
                     and solve(gamma) >= -membership_tol):
                 gamma = None
         if gamma is None:
@@ -352,7 +332,7 @@ def strong_pareto_point(xi, c0, sigma, sys: SystemSpec, grid: StateGrid,
             values.append(gamma[perm[i]])
             searched.append(i)
         else:
-            values.append(res.value)
+            values.append(value)
         chain.append(gamma)
 
     chain_arr = np.asarray(chain)

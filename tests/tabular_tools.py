@@ -174,15 +174,16 @@ def tree_constrained_value(inst: TabularInstance, comp: int, c: np.ndarray,
     return value(0, inst.xi)
 
 
-def tree_policy_threshold(inst: TabularInstance, policy: rt.FeedbackPolicy) -> np.ndarray:
-    """Reference closed-loop rollup of a policy into its guaranteed thresholds."""
+def tree_policy_threshold(inst: TabularInstance, choices: np.ndarray) -> np.ndarray:
+    """Reference closed-loop rollup of the feedback policy ``choices`` into
+    its guaranteed thresholds."""
     p, sys = inst.params, inst.sys
     m = p.terminal_values.shape[1]
 
     def comp_value(n, i, j):
         if n == sys.horizon + 1:
             return p.terminal_values[i, j]
-        u = int(policy.choices[n, i])
+        u = int(choices[n, i])
         worst = min(comp_value(n + 1, int(p.transitions[i, u, w]), j)
                     for w in range(p.n_scenarios))
         return min(p.stage_values[i, u, j], worst)

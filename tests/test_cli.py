@@ -1,4 +1,7 @@
 import re
+import runpy
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -108,6 +111,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="initial_state: outside"):
             parse_config("model: {kind: fishery-beverton-holt}\nhorizon: 1\n"
                          "initial_state: 500.0\n")
+
+    def test_duplicate_scenario_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^model.scenarios: duplicate scenario 'a'$"):
+            parse_config("model: {kind: fishery-beverton-holt, scenarios: [a, a]}\n"
+                         "horizon: 1\ninitial_state: 60.0\n")
 
 
 def _number(lo, hi):
@@ -511,6 +520,55 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: model: ")
         with pytest.raises(ConfigError, match=f"model: {names}"):
             parse_config(text.format(out=tmp_path))
+
+    @pytest.mark.parametrize("old, new", [
+        # no scenario element
+        ("transitions: [[[0, 1], [1, 1]], [[1, 0], [0, 1]]]",
+         "transitions: [[[], []], [[], []]]"),
+        # no constraint component
+        ("stage_values: [[[1.0, 2.0], [0.5, 3.0]], [[2.0, 1.0], [1.5, 0.0]]]\n"
+         "  terminal_values: [[5.0, 5.0], [5.0, 5.0]]",
+         "stage_values: [[[], []], [[], []]]\n  terminal_values: [[], []]"),
+    ], ids=["no-scenario", "no-component"])
+    def test_empty_tabular_axes_are_exit_code_2(self, tmp_path, capsys, old, new):
+        assert old in TABULAR_SMALL
+        text = TABULAR_SMALL.replace(old, new)
+        cfgp = write_config(tmp_path, text)
+        assert cli.main(["value", "--config", str(cfgp), "--threshold=0,0"]) == 2
+        assert capsys.readouterr().err.startswith("error: model: transitions ")
+        with pytest.raises(ConfigError, match="need at least one control, scenario "
+                                              "and constraint component"):
+            parse_config(text.format(out=tmp_path))
+
+    def test_plot_script_draws_every_scenario_present(self, tmp_path, monkeypatch):
+        # matplotlib is optional: a stub pyplot records what the script plots
+        labels = []
+
+        class Canvas:
+            def plot(self, *args, label=None, **kwargs):
+                labels.append(label)
+
+            def __getattr__(self, name):
+                return lambda *args, **kwargs: None
+
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = lambda *args, **kwargs: (Canvas(), Canvas())
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.pyplot = pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        for scenarios in (["b"], ["a", "b"]):
+            text = FISHERY_SMALL.replace("kind: fishery-beverton-holt",
+                                         f"kind: fishery-beverton-holt\n"
+                                         f"  scenarios: {scenarios}")
+            cfgp = write_config(tmp_path, text)
+            assert cli.main(["weak-front", "--config", str(cfgp)]) == 0
+            labels.clear()
+            monkeypatch.chdir(tmp_path / "out")
+            runpy.run_path("plot_front.py", run_name="__main__")
+            assert labels == ["computed weak front",
+                              *(f"surplus, scenario {w}" for w in scenarios),
+                              "robust boundary H"]
 
     @pytest.mark.parametrize("key", ["transitions", "stage_values"])
     def test_per_stage_tables_need_one_stage_per_stage(self, tmp_path, capsys, key):

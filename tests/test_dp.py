@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robust_thresholds as rt
-from robust_thresholds import dp, oracle
+from robust_thresholds import dp, oracle, pareto
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
 from robust_thresholds.mesh import UnpopulatedNodeError
 
@@ -68,8 +68,7 @@ class TestBackwardRecursion:
         controls = rt.ControlMesh.uniform(0.0, 40.0, 21)
         c = np.asarray([10.0, 5.0])
         compiled = rt.compile_system(sys, grid, controls)
-        tables = rt.backward_recursion(sys, grid, controls, full_grid_sets(grid, 0), c,
-                                       compiled=compiled)
+        tables = rt.backward_recursion(compiled, full_grid_sets(grid, 0), c)
         # brute force at a grid node, exact dynamics, clamped interpolation
         x = 60.0
         best = -np.inf
@@ -95,10 +94,8 @@ class TestBackwardRecursion:
         inst = random_instance(rng)
         c = np.asarray([0.5, -1.25])
         for t in (0.5, -2.0, 1.75):
-            base = rt.backward_recursion(inst.sys, inst.grid, inst.controls,
-                                         inst.reach, c, compiled=inst.compiled)
-            shifted = rt.backward_recursion(inst.sys, inst.grid, inst.controls,
-                                            inst.reach, c + t, compiled=inst.compiled)
+            base = rt.backward_recursion(inst.compiled, inst.reach, c)
+            shifted = rt.backward_recursion(inst.compiled, inst.reach, c + t)
             for tb, ts in zip(base, shifted):
                 rows = np.flatnonzero(tb.populated)
                 np.testing.assert_allclose(ts.values[rows], tb.values[rows] - t,
@@ -110,10 +107,8 @@ class TestBackwardRecursion:
         for _ in range(5):
             c = rng.uniform(0, 30, size=2)
             bump = rng.uniform(0, 5, size=2)
-            lo = rt.backward_recursion(sys, grid, controls, reach, c,
-                                       compiled=compiled)
-            hi = rt.backward_recursion(sys, grid, controls, reach, c + bump,
-                                       compiled=compiled)
+            lo = rt.backward_recursion(compiled, reach, c)
+            hi = rt.backward_recursion(compiled, reach, c + bump)
             for tl, th in zip(lo, hi):
                 rows = np.flatnonzero(tl.populated)
                 assert np.all(th.values[rows] <= tl.values[rows] + 1e-12)
@@ -121,8 +116,7 @@ class TestBackwardRecursion:
     def test_stage_value_bounded_by_best_stage_slack(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
         c = np.asarray([10.0, 5.0])
-        tables = rt.backward_recursion(sys, grid, controls, reach, c,
-                                       compiled=compiled)
+        tables = rt.backward_recursion(compiled, reach, c)
         coords = grid.node_coordinates()[:, 0]
         for n in range(sys.horizon + 1):
             rows = np.flatnonzero(tables[n].populated)
@@ -141,10 +135,8 @@ class TestBackwardRecursion:
         c = rng.uniform(-6.0, 6.0, size=2)
         raised = c.copy()
         raised[comp] += step
-        lo = rt.backward_recursion(inst.sys, inst.grid, inst.controls, inst.reach,
-                                   c, compiled=inst.compiled)
-        hi = rt.backward_recursion(inst.sys, inst.grid, inst.controls, inst.reach,
-                                   raised, compiled=inst.compiled)
+        lo = rt.backward_recursion(inst.compiled, inst.reach, c)
+        hi = rt.backward_recursion(inst.compiled, inst.reach, raised)
         for tl, th in zip(lo, hi):
             rows = np.flatnonzero(tl.populated)
             assert np.all(th.values[rows] <= tl.values[rows])
@@ -165,10 +157,8 @@ class TestBackwardRecursion:
         raised = c.copy()
         raised[comp] = max(c[comp] + step, np.nextafter(c[comp], np.inf))
         for sets in (reach, full_grid_sets(grid, sys.horizon)):
-            lo = rt.backward_recursion(sys, grid, controls, sets, c,
-                                       compiled=compiled)
-            hi = rt.backward_recursion(sys, grid, controls, sets, raised,
-                                       compiled=compiled)
+            lo = rt.backward_recursion(compiled, sets, c)
+            hi = rt.backward_recursion(compiled, sets, raised)
             for tl, th in zip(lo, hi):
                 rows = np.flatnonzero(tl.populated)
                 assert np.all(th.values[rows] <= tl.values[rows])
@@ -223,16 +213,13 @@ class TestBackwardRecursion:
         t2, p2 = dp.sweep_scores(compiled, reach, *compiled.slack_scores(c))
         for a, b in zip(t1, t2):
             np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(p1.choices, p2.choices)
+        np.testing.assert_array_equal(p1, p2)
 
     def test_reachable_and_full_grid_agree_on_reachable_nodes(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
         c = np.asarray([8.0, 3.0])
-        part = rt.backward_recursion(sys, grid, controls, reach, c,
-                                     compiled=compiled)
-        full = rt.backward_recursion(sys, grid, controls,
-                                     full_grid_sets(grid, sys.horizon), c,
-                                     compiled=compiled)
+        part = rt.backward_recursion(compiled, reach, c)
+        full = rt.backward_recursion(compiled, full_grid_sets(grid, sys.horizon), c)
         for tp, tf in zip(part, full):
             rows = np.flatnonzero(tp.populated)
             np.testing.assert_array_equal(tp.values[rows], tf.values[rows])
@@ -306,7 +293,7 @@ class TestStageKernelPinned:
         values, choices = _reference_sweep(compiled, reach, stage_scores, terminal)
         for t, v in zip(tables, values):
             assert _same_bytes(t.values, v)
-        assert _same_bytes(policy.choices, choices)
+        assert _same_bytes(policy, choices)
         replayed = dp.sweep_policy(compiled, reach, policy, stage_scores, terminal)
         ref = _reference_policy_sweep(compiled, reach, choices, stage_scores, terminal)
         for t, v in zip(replayed, ref):
@@ -372,7 +359,8 @@ class TestStageKernelPinned:
                 for s, w in enumerate(sys.scenario_sets[k]):
                     images = [sys.step(k, x[0] if grid.dim == 1 else x, u, w)
                               for x in nodes]
-                    idx, wts = grid.locate(np.asarray(images, dtype=float))
+                    idx, wts = grid.locate(np.asarray(images, dtype=float),
+                                           "multilinear")
                     assert np.array_equal(sa.corner_idx[:, :, j, s], idx.T)
                     assert np.array_equal(sa.corner_w[:, j, s], wts)
         for r in (reach, full_grid_sets(grid, sys.horizon)):
@@ -408,8 +396,8 @@ class TestFixedPointExit:
         for n, (t, v) in enumerate(zip(tables, values)):
             assert _same_bytes(t.values, v)
             assert np.array_equal(t.populated, reach.masks[n])
-        assert policy.choices.dtype == np.int32
-        assert _same_bytes(policy.choices, choices)
+        assert policy.dtype == np.int32
+        assert _same_bytes(policy, choices)
 
     @staticmethod
     def tabular(stage_values, terminal_values, transitions, horizon):
@@ -470,8 +458,7 @@ class TestFixedPointExit:
         sys, grid, controls, compiled = self.tabular(
             np.full((n_states, 2, 2), 2.0), np.ones((n_states, 2)), transitions, horizon)
         calls = self.kernel_calls(monkeypatch)
-        rt.backward_recursion(sys, grid, controls, full_grid_sets(grid, horizon),
-                              [0.0, 0.0], compiled=compiled)
+        rt.backward_recursion(compiled, full_grid_sets(grid, horizon), [0.0, 0.0])
         assert len(calls) == 1
         # nested, but stage 1 reads node 1 from R_2 = {0}
         masks = np.ones((horizon + 2, n_states), dtype=bool)
@@ -479,8 +466,7 @@ class TestFixedPointExit:
         hand_built = rt.ReachableSets(grid=grid, masks=masks)
         assert hand_built.nested == horizon + 2
         with pytest.raises(UnpopulatedNodeError):
-            rt.backward_recursion(sys, grid, controls, hand_built, [0.0, 0.0],
-                                  compiled=compiled)
+            rt.backward_recursion(compiled, hand_built, [0.0, 0.0])
 
     def test_hand_built_full_sets_take_the_exit(self, coarse_fishery, monkeypatch):
         # sets marking every node are closed under any compiled system, so
@@ -536,7 +522,7 @@ class TestRowWindow:
         for n, (t, v) in enumerate(zip(tables, values)):
             assert _same_bytes(t.values, v)
             assert np.array_equal(t.populated, reach.masks[n])
-        assert np.array_equal(policy.choices, choices)
+        assert np.array_equal(policy, choices)
 
     def assert_every_score(self, compiled, sets, c):
         for scores in [compiled.slack_scores(c)] + [
@@ -686,7 +672,7 @@ class TestKernelScratch:
         assert len(grown) > len(small)
         again = dp.sweep_policy(compiled, reach, policy, scores, terminal)
         assert compiled._local.buf is grown
-        assert np.array_equal(got_policy.choices, policy.choices)
+        assert np.array_equal(got_policy, policy)
         for tables, ref_tables in ((got, want), (replay, want_replay),
                                    (again, want_replay)):
             for t, r in zip(tables, ref_tables):
@@ -724,7 +710,7 @@ class TestKernelScratch:
         for i, (out, _) in enumerate(parts):
             got[i::n_threads] = out
         for (tables, policy), (ref_tables, ref_policy) in zip(got, want):
-            assert np.array_equal(policy.choices, ref_policy.choices)
+            assert np.array_equal(policy, ref_policy)
             for t, r in zip(tables, ref_tables):
                 assert np.array_equal(t.values, r.values, equal_nan=True)
 
@@ -799,10 +785,11 @@ class TestOutOfBoxReads:
         return rows
 
     @classmethod
-    def assert_caps_folded(cls, sys, grid, controls, compiled, n, thresholds):
+    def assert_caps_folded(cls, sys, grid, controls, compiled, n, thresholds,
+                           capped=True):
         rows = cls.reference_vectors(sys, grid, controls, n)
         shape = (grid.n_nodes, len(controls))
-        assert sum(len(caps) for _, caps in rows) > 0
+        assert (sum(len(caps) for _, caps in rows) > 0) == capped
         for c in map(np.asarray, thresholds):
             forms = [(compiled.slack_scores(c), lambda g: float(np.min(g - c)))]
             for k in range(len(c)):
@@ -840,15 +827,21 @@ class TestOutOfBoxReads:
             inst = random_instance(rng)
             for n in range(inst.sys.horizon + 1):
                 assert len(inst.compiled.stage(n).out_pts) == 0
+            # with no caps the scores are the definitional ones; thresholds
+            # equal to constraint values make components tie with c
+            g, theta = inst.params.stage_values, inst.params.terminal_values
+            i, u = rng.integers(len(theta)), rng.integers(g.shape[1])
+            thresholds = (g[i, u], theta[i], [g[i, u, 0], theta[-1 - i, 1]])
+            for n in (0, inst.sys.horizon):
+                self.assert_caps_folded(inst.sys, inst.grid, inst.controls,
+                                        inst.compiled, n, thresholds, capped=False)
 
 
 class TestRobustValueAndMembership:
     def test_value_on_node_is_node_value(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
         c = np.asarray([0.0, 0.0])
-        tables = rt.backward_recursion(sys, grid, controls,
-                                       full_grid_sets(grid, sys.horizon), c,
-                                       compiled=compiled)
+        tables = rt.backward_recursion(compiled, full_grid_sets(grid, sys.horizon), c)
         assert rt.robust_value(60.0, tables) == tables[0].values[120]
 
     def test_zero_thresholds_sustainable_from_capacity(self, fishery3):
@@ -896,14 +889,30 @@ class TestRobustValueAndMembership:
                 assert got or not want
 
     def test_inputs_other_than_the_compiled_ones_rejected(self, fishery3):
+        # every entry point that takes (sys, grid, controls) besides the
+        # compiled system checks them on its first solve;
+        # build_reachable_sets is covered in test_mesh.py
         sys, grid, controls, compiled, reach = fishery3
         coarse = rt.StateGrid(lower=[0.0], upper=[120.0], counts=[121])
-        with pytest.raises(ValueError, match="grid passed differs"):
-            rt.solve_value(60.0, [0.0, 0.0], sys, coarse, controls,
-                           compiled=compiled, reach=reach)
-        with pytest.raises(ValueError, match="control mesh passed differs"):
-            rt.backward_recursion(sys, grid, rt.ControlMesh.uniform(0.0, 40.0, 5),
-                                  reach, [0.0, 0.0], compiled=compiled)
+        few = rt.ControlMesh.uniform(0.0, 40.0, 5)
+        mesh = rt.threshold_ray_mesh(10.0, 2, [130.0, 60.0])
+        built = {"compiled": compiled, "reach": reach}
+        cases = [
+            ("grid", lambda: rt.solve_value(60.0, [0.0, 0.0], sys, coarse, controls,
+                                            **built)),
+            ("control mesh", lambda: rt.membership(60.0, [0.0, 0.0], sys, grid, few,
+                                                   **built)),
+            ("grid", lambda: pareto.weak_front(60.0, mesh, sys, coarse, controls,
+                                               jobs=1, **built)),
+            ("control mesh", lambda: pareto.weak_front(60.0, mesh, sys, grid, few,
+                                                       jobs=2, **built)),
+            ("grid", lambda: pareto.strong_pareto_point(60.0, [0.0, 0.0], (0, 1), sys,
+                                                        coarse, controls, **built)),
+        ]
+        for name, call in cases:
+            with pytest.raises(ValueError,
+                               match=f"^the {name} passed differs from the compiled one$"):
+                call()
 
     def test_negative_tolerance_rejected(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
@@ -915,8 +924,7 @@ class TestRobustValueAndMembership:
 class TestUnpopulatedDetection:
     def test_querying_outside_reachable_tube_raises(self, fishery3):
         sys, grid, controls, compiled, reach = fishery3
-        tables = rt.backward_recursion(sys, grid, controls, reach,
-                                       [0.0, 0.0], compiled=compiled)
+        tables = rt.backward_recursion(compiled, reach, [0.0, 0.0])
         assert not tables[0].populated[0]
         with pytest.raises(UnpopulatedNodeError):
             rt.interpolate(tables[0], 0.0)
@@ -929,5 +937,4 @@ class TestUnpopulatedDetection:
         masks[1:, 0] = True
         broken = rt.ReachableSets(grid=grid, masks=masks)
         with pytest.raises(UnpopulatedNodeError):
-            rt.backward_recursion(sys, grid, controls, broken, [0.0, 0.0],
-                                  compiled=compiled)
+            rt.backward_recursion(compiled, broken, [0.0, 0.0])

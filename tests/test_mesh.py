@@ -48,7 +48,7 @@ class TestInterpolate:
     def test_two_dimensional_bilinear(self):
         grid = rt.StateGrid(lower=[0.0, 0.0], upper=[1.0, 1.0], counts=[2, 2])
         t = ValueTable(stage=0, grid=grid,
-                       values=np.asarray([0.0, 1.0, 2.0, 3.0]))
+                       values=np.asarray([0.0, 1.0, 2.0, 3.0]), interp="multilinear")
         assert rt.interpolate(t, [0.5, 0.5]) == pytest.approx(1.5, abs=1e-15)
         assert rt.interpolate(t, [0.0, 1.0]) == 1.0
         assert rt.interpolate(t, [1.0, 0.0]) == 2.0

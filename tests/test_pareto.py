@@ -116,11 +116,10 @@ class TestConstrainedMaximin:
         c = np.asarray([-4.0])
         if solve_w(inst, c) < 0:
             pytest.skip("rare: instance infeasible at low threshold")
-        res = pareto.constrained_maximin_value(
-            inst.xi, 0, c, inst.sys, inst.grid, inst.controls,
-            compiled=inst.compiled, reach=inst.reach)
-        assert res.feasible
-        assert res.value >= c[0] - 1e-12
+        value, _ = pareto.constrained_maximin_value(
+            inst.xi, 0, c, compiled=inst.compiled, reach=inst.reach)
+        assert value > dp.NEG_INF_CUTOFF
+        assert value >= c[0] - 1e-12
 
     def test_matches_reference_tree_recursion(self):
         rng = np.random.default_rng(24)
@@ -131,19 +130,17 @@ class TestConstrainedMaximin:
             if solve_w(inst, c) < 0:
                 continue
             for comp in (0, 1):
-                res = pareto.constrained_maximin_value(
-                    inst.xi, comp, c, inst.sys, inst.grid, inst.controls,
-                    compiled=inst.compiled, reach=inst.reach)
+                value, _ = pareto.constrained_maximin_value(
+                    inst.xi, comp, c, compiled=inst.compiled, reach=inst.reach)
                 want = tree_constrained_value(inst, comp, c)
-                assert res.value == pytest.approx(want, abs=1e-12)
+                assert value == pytest.approx(want, abs=1e-12)
                 checked += 1
         assert checked >= 6
 
     def test_infeasible_threshold_flagged(self, tab):
-        res = pareto.constrained_maximin_value(
-            tab.xi, 0, [100.0, 100.0], tab.sys, tab.grid, tab.controls,
-            compiled=tab.compiled, reach=tab.reach)
-        assert not res.feasible
+        value, _ = pareto.constrained_maximin_value(
+            tab.xi, 0, [100.0, 100.0], compiled=tab.compiled, reach=tab.reach)
+        assert value <= dp.NEG_INF_CUTOFF
 
     def test_interior_value_exceeds_component_and_pinned_value_equals_it(self):
         # two states; staying in state 1 yields g = (3, 1), state 0 pays (0, 9)
@@ -160,13 +157,13 @@ class TestConstrainedMaximin:
         compiled = rt.compile_system(sys, grid, controls, interp="nearest")
         full = full_grid_sets(grid, sys.horizon)
         # from state 1 with c deep inside, maximizing component 0 gives 3 > c_0
-        res = pareto.constrained_maximin_value(1.0, 0, [-1.0, -1.0], sys, grid,
-                                               controls, compiled=compiled, reach=full)
-        assert res.value == 3.0 > -1.0
+        value, _ = pareto.constrained_maximin_value(1.0, 0, [-1.0, -1.0],
+                                                    compiled=compiled, reach=full)
+        assert value == 3.0 > -1.0
         # pinning c_1 = 1 forces staying in state 1; component 1 value equals c_1
-        res2 = pareto.constrained_maximin_value(1.0, 1, [-1.0, 1.0], sys, grid,
-                                                controls, compiled=compiled, reach=full)
-        assert res2.value == 1.0
+        value2, _ = pareto.constrained_maximin_value(1.0, 1, [-1.0, 1.0],
+                                                     compiled=compiled, reach=full)
+        assert value2 == 1.0
 
 
 class TestThresholdOfPolicy:
@@ -177,11 +174,10 @@ class TestThresholdOfPolicy:
             c = rng.uniform(-6, -3, size=2)
             if solve_w(inst, c) < 0:
                 continue
-            res = pareto.constrained_maximin_value(
-                inst.xi, 0, c, inst.sys, inst.grid, inst.controls,
-                compiled=inst.compiled, reach=inst.reach)
-            gamma = pareto.threshold_of_policy(inst.xi, res.policy, inst.sys,
-                                               inst.grid, compiled=inst.compiled,
+            _, choices = pareto.constrained_maximin_value(
+                inst.xi, 0, c, compiled=inst.compiled, reach=inst.reach)
+            gamma = pareto.threshold_of_policy(inst.xi, choices,
+                                               compiled=inst.compiled,
                                                reach=inst.reach)
             assert solve_w(inst, gamma) >= -1e-12
 
@@ -198,8 +194,7 @@ class TestThresholdOfPolicy:
         compiled = rt.compile_system(sys, grid, controls, interp="nearest")
         full = full_grid_sets(grid, sys.horizon)
         _, policy = dp.sweep_scores(compiled, full, *compiled.slack_scores(np.zeros(2)))
-        gamma = pareto.threshold_of_policy(0.0, policy, sys, grid,
-                                           compiled=compiled, reach=full)
+        gamma = pareto.threshold_of_policy(0.0, policy, compiled=compiled, reach=full)
         np.testing.assert_allclose(gamma, [2.5, -1.0])
 
     def test_matches_reference_tree_evaluation(self):
@@ -208,8 +203,7 @@ class TestThresholdOfPolicy:
             inst = random_instance(rng)
             _, policy = dp.sweep_scores(inst.compiled, inst.reach,
                                         *inst.compiled.slack_scores(np.full(2, -3.0)))
-            gamma = pareto.threshold_of_policy(inst.xi, policy, inst.sys, inst.grid,
-                                               compiled=inst.compiled,
+            gamma = pareto.threshold_of_policy(inst.xi, policy, compiled=inst.compiled,
                                                reach=inst.reach)
             np.testing.assert_allclose(gamma, tree_policy_threshold(inst, policy),
                                        atol=1e-12)
