@@ -101,6 +101,29 @@ lower stage repeats stage n+1 as well, each lower stage j gets V_{n+1} on
 R_j and, with a policy, stage n+1's choices there, and the loop stops.
 Policy evaluation runs every stage.
 
+The same argument runs along the threshold axis.  ``ThresholdSequence``
+solves a run of thresholds, as ``weak_front`` walks its ray mesh, in place
+in one (N+2, n_nodes) table: when stage n of threshold c' is swept, row n
+still holds V_n of the previous threshold c on the same reachable sets.
+A row of R_n whose score row is unchanged bit for bit, and whose support
+saw no change from V_{n+1}(c) to V_{n+1}(c'), would run the float
+operations it ran for c, so it keeps V_n(c): no copy is needed at all.
+The score rows are compared as int64 once per distinct score array, with
+the slacks of c rebuilt in the kernel scratch, so no second set of score
+arrays is kept.  The changed nodes of V_{n+1} are found, as int64 too, at
+the moment stage n+1 overwrites its rows: on the rows it swept and on the
+rows it copied from stage n+2, the rows it kept being unchanged.  The
+threshold window of stage n is the hull of the rows whose score row
+changed and of the rows whose support range, by the same envelopes,
+meets the span of those changed nodes.  A row outside the stage window
+copies stage n+1, a row outside the threshold window keeps its value, and
+the kernel runs on the intersection of the two windows, again a slice;
+both kinds of row hold exactly the value the kernel would compute.  So
+stage n-1 compares stage n with stage n+1 on every row that did not copy.
+The first solve of a sequence, one on other reachable sets and one after
+a solve that raised (which leaves the table half overwritten) sweep in
+full.
+
 Everything here is deterministic: control ties resolve to the lowest mesh
 index, so repeated runs reproduce tables bitwise.
 """
@@ -124,6 +147,7 @@ __all__ = [
     "CompiledSystem",
     "compile_system",
     "backward_recursion",
+    "ThresholdSequence",
     "robust_value",
     "solve_value",
     "membership",
@@ -279,9 +303,11 @@ class CompiledSystem:
             g_vals[:, j, :] = self._constraints_at(k, self._nodes, u)
             for s, w in enumerate(sys.scenario_sets[k]):
                 images[:, j, s] = self._images(k, u, w)
-                idx, wts = grid.locate(images[:, j, s], mode=self.interp)
-                base[:, j, s] = idx[:, 0]
-                corner_w[:, j, s] = wts
+            # one batch per control: a whole stage at once would allocate
+            # tens of megabytes of temporaries on the default grid
+            idx, wts = grid.locate(images[:, j], mode=self.interp)
+            base[:, j] = idx[:, 0].reshape(n, n_w)
+            corner_w[:, j] = wts.reshape(n, n_w, -1)
         node, ctrl, scen = np.nonzero(
             ((images < grid.lower) | (images > grid.upper)).any(axis=-1))
         sa = _StageArrays(base=base, corner_w=corner_w, offsets=self.offsets,
@@ -345,7 +371,7 @@ class CompiledSystem:
         # no sweep runs while scores are built, so the differences can go
         # through this thread's kernel scratch
         buf = self._scratch(len(self.controls))
-        return self._scores(lambda g: _slack(g, c, buf))
+        return self._scores(lambda g: _slack(g, c, buf, np.empty(g.shape[:-1])))
 
     def masked_component_scores(self, c: np.ndarray, comp: int):
         """Scores for the component-`comp` constrained maximin problem.
@@ -357,12 +383,27 @@ class CompiledSystem:
         and NaN fails both tests.
         """
         buf = self._scratch(len(self.controls))
-        return self._scores(
-            lambda g: np.where(_slack(g, c, buf) >= 0, g[..., comp], NEG_INF))
+        return self._scores(lambda g: np.where(
+            _slack(g, c, buf, np.empty(g.shape[:-1])) >= 0, g[..., comp], NEG_INF))
 
     def component_scores(self, comp: int):
         """Raw per-component constraint values (used for policy rollup)."""
         return self._scores(lambda g: g[..., comp])
+
+    def _moved_rows(self, stage_scores: list, c: np.ndarray) -> dict:
+        """For each distinct array of the slack scores ``stage_scores``, by
+        id, the sorted rows where it differs from the slack scores of the
+        threshold c, compared as int64.  The slacks of c are rebuilt one
+        array at a time in this thread's kernel scratch, which holds two."""
+        buf = self._scratch(len(self.controls))
+        moved = {}
+        for sa, new in zip(self._stages, stage_scores):
+            if id(new) not in moved:
+                old = _slack(sa.g_vals, c, buf,
+                             buf[new.size:2 * new.size].reshape(new.shape))
+                moved[id(new)] = np.flatnonzero(
+                    (new.view(np.int64) != old.view(np.int64)).any(axis=1))
+        return moved
 
 
 def compile_system(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
@@ -370,11 +411,12 @@ def compile_system(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
     return CompiledSystem(sys, grid, controls, interp)
 
 
-def _slack(g: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """min_i (g_i - c_i) over the constraint (last) axis of g, one
-    component at a time, each difference taken into the flat scratch
-    ``buf``: no temporary of g's size, nor of one component's."""
-    out = g[..., 0] - c[0]
+def _slack(g: np.ndarray, c: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """min_i (g_i - c_i) over the constraint (last) axis of g, into
+    ``out``, one component at a time, each difference taken into the head
+    of the flat scratch ``buf``: no temporary of g's size, nor of one
+    component's."""
+    np.subtract(g[..., 0], c[0], out=out)
     diff = buf[:out.size].reshape(out.shape)
     for i in range(1, g.shape[-1]):
         np.minimum(out, np.subtract(g[..., i], c[i], out=diff), out=out)
@@ -459,32 +501,106 @@ def _window(vals: np.ndarray, V_next: np.ndarray, swept, rows, sa: _StageArrays)
     return _EMPTY if vals.tobytes() == V_next[swept].tobytes() else rows
 
 
+def _changed(old: np.ndarray, new: np.ndarray, seg):
+    """(first, last) node where ``new`` differs from ``old``, compared as
+    int64, on the rows ``seg`` of a stage; None where none does."""
+    d = (old.view(np.int64) != new.view(np.int64)).nonzero()[0]
+    if not len(d):
+        return None
+    if isinstance(seg, slice):
+        return (seg.start or 0) + int(d[0]), (seg.start or 0) + int(d[-1])
+    return int(seg[d[0]]), int(seg[d[-1]])
+
+
+def _join(a, b):
+    return b if a is None else a if b is None else (min(a[0], b[0]), max(a[1], b[1]))
+
+
+def _moved_window(span, moved: np.ndarray, rows, sa: _StageArrays):
+    """The rows of ``rows`` whose stage result may differ from the previous
+    threshold's: the hull of the rows in ``moved`` (sorted), whose score
+    row changed, and of the rows whose support range, by the envelopes of
+    ``sa``, meets ``span``, the first and last node of the stage above
+    that changed (None for none).  ``rows`` itself when rows is an index
+    array and anything changed."""
+    if not isinstance(rows, slice):
+        return rows if span or len(moved) else _EMPTY
+    r0, r1, _ = rows.indices(len(sa.base))
+    hulls = []
+    i, j = np.searchsorted(moved, (r0, r1))
+    if i < j:
+        hulls.append((int(moved[i]), int(moved[j - 1]) + 1))
+    if span and sa.envelopes:
+        hi, lo = sa.envelopes
+        hulls.append((bisect_left(hi, span[0]), bisect_right(lo, span[1])))
+    elif span:
+        hulls.append((r0, r1))
+    hulls = [h for h in hulls if h[0] < h[1]]
+    if not hulls:
+        return _EMPTY
+    a, b = max(r0, min(h[0] for h in hulls)), min(r1, max(h[1] for h in hulls))
+    return rows if (a, b) == (r0, r1) else slice(a, b) if a < b else _EMPTY
+
+
+def _meet(live, w, rows):
+    """Intersection of two windows of ``rows``."""
+    if live is _EMPTY or w is _EMPTY:
+        return _EMPTY
+    if live is rows or w is rows:
+        return w if live is rows else live
+    a, b = max(live.start, w.start), min(live.stop, w.stop)
+    return slice(a, b) if a < b else _EMPTY
+
+
+def _outside(w, live, rows, n_nodes: int):
+    """The slices of the window ``w`` that lie outside the window ``live``
+    of ``rows``."""
+    if live is rows or w is _EMPTY:
+        return ()
+    if live is _EMPTY:
+        return (w,)
+    p, q, _ = w.indices(n_nodes)
+    return tuple(seg for seg in (slice(p, min(q, live.start)), slice(max(p, live.stop), q))
+                 if seg.start < seg.stop)
+
+
 def _sweep(compiled: CompiledSystem, reach: ReachableSets,
            stage_scores: list[np.ndarray], terminal_score: np.ndarray,
-           fixed: np.ndarray | None, want_policy: bool):
-    """Backward maximin sweep; returns (tables, argmax choices or None).
+           fixed: np.ndarray | None, want_policy: bool, T: np.ndarray,
+           moved: dict | None):
+    """Backward maximin sweep into ``T``, (N+2, n_nodes); returns (tables,
+    argmax choices or None).
 
     With ``fixed`` None every row maximizes over the whole control mesh.
     A policy's ``fixed`` choices restrict each row to its one chosen
     control: the kernel then sees a control axis of length one, and the
     max over it evaluates the policy.
+
+    With ``moved`` None every row of every stage is written, and ``T`` is
+    NaN off the reachable sets.  Else, for an optimizing sweep without a
+    policy, ``T`` holds the tables of the previous threshold on the same
+    sets and ``moved`` gives, by id of each score array, the rows whose
+    score row changed since: a row that is outside the threshold window
+    keeps the previous threshold's value (module docstring).
     """
     sys, grid = compiled.sys, compiled.grid
     n_nodes = grid.n_nodes
-    T = np.full((sys.horizon + 2, n_nodes), np.nan)
     choices = (np.full((sys.horizon + 1, n_nodes), -1, dtype=np.int32)
                if want_policy else None)
     rows = reach.selectors[sys.horizon + 1]
+    if moved is not None:
+        span = _changed(T[-1, rows], terminal_score[rows], rows)
     T[-1, rows] = terminal_score[rows]
     buf = compiled._scratch(len(compiled.controls) if fixed is None else 1)
     closed = fixed is None and (reach.closed_under is compiled or reach.full)
     for n in range(sys.horizon, -1, -1):
         rows, sa, scores = reach.selectors[n], compiled.stage(n), stage_scores[n]
+        live = rows  # the rows that do not copy stage n+1
         if (closed and n < sys.horizon and n + 1 < reach.nested
                 and compiled.stage(n + 1) is sa and stage_scores[n + 1] is scores):
-            # stage n repeats stage n+1, whose kernel gave ``vals`` on the
-            # rows ``swept``: every row outside the window copies stage n+1
-            # (module docstring)
+            # stage n repeats stage n+1, which differs from stage n+2 only
+            # within ``vals`` on the rows ``swept``: every row outside the
+            # window copies stage n+1 (module docstring)
             window = _window(vals, T[n + 2], swept, rows, sa)
             if window is _EMPTY and all(compiled.stage(j) is sa and stage_scores[j] is scores
                                         for j in range(n)):
@@ -492,34 +608,48 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets,
                 if want_policy:
                     np.copyto(choices[:n + 1], choices[n + 1], where=reach.masks[:n + 1])
                 break
-            if window is not rows:
+            if window is not rows and moved is None:
                 T[n, rows] = T[n + 1, rows]
                 if want_policy:
                     choices[n, rows] = choices[n + 1, rows]
-                rows = window
-        swept = rows
-        if rows is _EMPTY:  # every row copied: nothing for the kernel
-            vals = T[n, rows]
-            continue
-        if fixed is None:
-            cells = (rows,)
-        else:
-            p = fixed[n][rows]
-            # an index of -1 would silently read the last control
-            if np.any(p < 0):
-                raise UnpopulatedNodeError(f"policy gap on reachable nodes at stage {n}")
-            # each row's chosen cells only, shape (rows, 1, n_w)
-            cells = (np.arange(n_nodes)[rows], p, None)
-        # a single corner has weight 1 and the kernel never reads it
-        cw = sa.corner_w[cells] if len(sa.offsets) > 1 else None
-        q = _stage_kernel(T[n + 1], sa.base[cells], cw, sa.offsets, scores[cells], buf)
-        vals = q.max(axis=-1)
-        if np.isnan(vals).any():
-            raise UnpopulatedNodeError(
-                f"stage-{n} sweep touched unpopulated next-stage nodes")
-        if want_policy:
-            choices[n][rows] = q.argmax(axis=-1)
-        T[n, rows] = vals
+            live = window
+        swept = live
+        if moved is not None:
+            # the rows of the threshold window copy stage n+1 or run the
+            # kernel; the others keep the previous threshold's values
+            moving = _moved_window(span, moved[id(scores)], rows, sa)
+            span = None
+            for seg in _outside(moving, live, rows, n_nodes):
+                span = _join(span, _changed(T[n, seg], T[n + 1, seg], seg))
+                T[n, seg] = T[n + 1, seg]
+            swept = _meet(live, moving, rows)
+        if swept is not _EMPTY:
+            if fixed is None:
+                cells = (swept,)
+            else:
+                p = fixed[n][swept]
+                # an index of -1 would silently read the last control
+                if np.any(p < 0):
+                    raise UnpopulatedNodeError(f"policy gap on reachable nodes at stage {n}")
+                # each row's chosen cells only, shape (rows, 1, n_w)
+                cells = (np.arange(n_nodes)[swept], p, None)
+            # a single corner has weight 1 and the kernel never reads it
+            cw = sa.corner_w[cells] if len(sa.offsets) > 1 else None
+            q = _stage_kernel(T[n + 1], sa.base[cells], cw, sa.offsets, scores[cells], buf)
+            vals = q.max(axis=-1)
+            if np.isnan(vals).any():
+                raise UnpopulatedNodeError(
+                    f"stage-{n} sweep touched unpopulated next-stage nodes")
+            if want_policy:
+                choices[n][swept] = q.argmax(axis=-1)
+            if moved is not None:
+                span = _join(span, _changed(T[n, swept], vals, swept))
+            T[n, swept] = vals
+        if moved is not None:
+            # stage n differs from stage n+1 only on the rows it did not copy
+            vals, swept = T[n, live], live
+        elif swept is _EMPTY:  # every row copied: nothing for the kernel
+            vals = T[n, swept]
     return [ValueTable(n, grid, T[n], compiled.interp) for n in range(len(T))], choices
 
 
@@ -531,7 +661,8 @@ def sweep_scores(compiled: CompiledSystem, reach: ReachableSets,
     ``choices[n, i]`` is the index into ``compiled.controls`` attaining the
     max at stage n and node i, -1 on nodes the sweep never populated.
     """
-    return _sweep(compiled, reach, stage_scores, terminal_score, None, want_policy)
+    return _sweep(compiled, reach, stage_scores, terminal_score, None, want_policy,
+                  _nan_table(compiled), None)
 
 
 def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
@@ -539,7 +670,12 @@ def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
                  terminal_score: np.ndarray):
     """Backward evaluation sweep of the feedback policy ``choices`` (as
     ``sweep_scores`` returns them)."""
-    return _sweep(compiled, reach, stage_scores, terminal_score, choices, False)[0]
+    return _sweep(compiled, reach, stage_scores, terminal_score, choices, False,
+                  _nan_table(compiled), None)[0]
+
+
+def _nan_table(compiled: CompiledSystem) -> np.ndarray:
+    return np.full((compiled.sys.horizon + 2, compiled.grid.n_nodes), np.nan)
 
 
 # -- public solver entry points ---------------------------------------------
@@ -552,6 +688,39 @@ def backward_recursion(compiled: CompiledSystem, reach: ReachableSets,
     stage_scores, terminal = compiled.slack_scores(
         as_threshold(c, compiled.sys.threshold_dim))
     return sweep_scores(compiled, reach, stage_scores, terminal, want_policy=False)[0]
+
+
+class ThresholdSequence:
+    """The tables of ``backward_recursion`` for a run of thresholds, bit
+    for bit, each solved in place in the previous solve's table.
+
+    One (N+2, n_nodes) table serves every solve.  A solve on the reachable
+    sets of the solve before it, which completed, sweeps only the rows of
+    the threshold window (module docstring); any other solve, the first
+    one and any after a solve that raised included, sweeps in full.  The
+    tables returned are views of the shared table, valid until the next
+    solve.  One sequence serves one thread at a time.
+    """
+
+    def __init__(self, compiled: CompiledSystem):
+        self.compiled = compiled
+        self._T = _nan_table(compiled)
+        self._last = None  # (reach, threshold) of the tables in _T
+
+    def tables(self, reach: ReachableSets, c) -> list[ValueTable]:
+        compiled = self.compiled
+        c = as_threshold(c, compiled.sys.threshold_dim).copy()
+        stage_scores, terminal = compiled.slack_scores(c)
+        last, self._last = self._last, None
+        if last is not None and last[0] is reach:
+            moved = compiled._moved_rows(stage_scores, last[1])
+        else:
+            moved = None
+            self._T.fill(np.nan)
+        tables = _sweep(compiled, reach, stage_scores, terminal, None, False,
+                        self._T, moved)[0]
+        self._last = reach, c
+        return tables
 
 
 def robust_value(xi, tables: list[ValueTable]) -> float:

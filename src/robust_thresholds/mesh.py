@@ -72,9 +72,12 @@ class StateGrid:
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
+    @cached_property
     def spacing(self) -> np.ndarray:
-        return (self.upper - self.lower) / (self.counts - 1)
+        """Node spacing per dimension, computed once and read-only."""
+        spacing = (self.upper - self.lower) / (self.counts - 1)
+        spacing.flags.writeable = False
+        return spacing
 
     @cached_property
     def n_nodes(self) -> int:

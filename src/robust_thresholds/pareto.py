@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dp
-from .mesh import ControlMesh, StateGrid, ThresholdRayMesh
+from .mesh import ControlMesh, StateGrid, ThresholdRayMesh, _require_compiled_from
 from .model import SystemSpec, as_threshold
 
 __all__ = [
@@ -96,22 +96,37 @@ def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
     skipped and reported.  Each projected point is re-solved and |W(xi, p)|
     compared against ``front_tol``; residuals beyond it and out-of-order
     sweep coordinates become diagnostics, not errors.
+
+    The mesh is solved in ``jobs`` contiguous chunks, each in its own
+    thread and through its own ``dp.ThresholdSequence``: first its points,
+    then the projections of those it projects, both in mesh order, which
+    is sweep order.  Every solve equals its own ``backward_recursion`` bit
+    for bit, so the result does not depend on ``jobs``.
     """
+    _require_compiled_from(compiled, sys, grid, controls)
     points = mesh.points
     if len(points) == 0:
         raise ValueError("empty threshold mesh")
     tol = front_tol if front_tol is not None else default_front_tol(grid, compiled.interp)
 
-    def solve(c):
-        return dp.solve_value(xi, c, sys, grid, controls, compiled=compiled, reach=reach)
+    def solve_chunk(chunk: np.ndarray):
+        seq = dp.ThresholdSequence(compiled)
 
-    def solve_all(thresholds) -> np.ndarray:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                return np.asarray(list(ex.map(solve, thresholds)))
-        return np.asarray([solve(c) for c in thresholds])
+        def solve(c):
+            return dp.robust_value(xi, seq.tables(reach, c))
 
-    values = solve_all(points)
+        values = np.asarray([solve(c) for c in chunk], dtype=float)
+        valid = values < 0
+        return values, np.asarray([solve(p) for p in chunk[valid] + values[valid][:, None]],
+                                  dtype=float)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(points))) as ex:
+            parts = list(ex.map(solve_chunk, np.array_split(points, jobs)))
+    else:
+        parts = [solve_chunk(points)]
+    values = np.concatenate([v for v, _ in parts])
+    reval = np.concatenate([r for _, r in parts])
     valid = values < 0
     sources = points[valid]
     front_points = sources + values[valid][:, None]
@@ -121,7 +136,6 @@ def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
             f"mesh point {c.tolist()} lies inside the sustainable set "
             f"(W = {w:.6g}); enlarge the anchors")
 
-    reval = solve_all(front_points)
     worst = np.max(np.abs(reval), initial=0.0)
     if worst > tol:
         diagnostics.append(

@@ -508,6 +508,22 @@ def _banded_tabular(rng, interp):
     return sys, grid, compiled, reach
 
 
+def _zero_weight_corner_system():
+    """The pinned system of ``TestRowWindow``: node 0 maps to itself, read
+    multilinearly as 1 * V(0) + 0 * V(1), with terminal values -0.0, -1,
+    -1, 1 and stage values 5 on nodes 0..3; (compiled, reach) from 0."""
+    terminal = np.repeat([[-0.0], [-1.0], [-1.0], [1.0]], 2, axis=1)
+    params = rt.TabularParams(
+        node_coords=np.arange(4.0),
+        transitions=np.repeat([[[0]], [[2]], [[3]], [[3]]], 2, axis=2),
+        stage_values=np.full((4, 1, 2), 5.0), terminal_values=terminal)
+    sys = rt.build_tabular_system(params, horizon=3)
+    grid = rt.StateGrid(lower=[0.0], upper=[3.0], counts=[4])
+    controls = rt.ControlMesh((0,))
+    compiled = rt.compile_system(sys, grid, controls)
+    return compiled, rt.build_reachable_sets(0.0, grid, sys, controls, compiled=compiled)
+
+
 class TestRowWindow:
     """A stage that repeats stage n+1's operator runs the kernel only on
     the hull of the rows whose support holds a node where V_{n+1} differs
@@ -598,16 +614,7 @@ class TestRowWindow:
         # V(0) is -0.0 and V(1) goes -1, -1, 1 from stage 4 down, so stage
         # 1 reads a changed node only through the weight-0 corner, and
         # -0.0 + 0 * 1 is 0.0 where stage 2 had -0.0 + 0 * -1 = -0.0
-        terminal = np.repeat([[-0.0], [-1.0], [-1.0], [1.0]], 2, axis=1)
-        params = rt.TabularParams(
-            node_coords=np.arange(4.0),
-            transitions=np.repeat([[[0]], [[2]], [[3]], [[3]]], 2, axis=2),
-            stage_values=np.full((4, 1, 2), 5.0), terminal_values=terminal)
-        sys = rt.build_tabular_system(params, horizon=3)
-        grid = rt.StateGrid(lower=[0.0], upper=[3.0], counts=[4])
-        controls = rt.ControlMesh((0,))
-        compiled = rt.compile_system(sys, grid, controls)
-        reach = rt.build_reachable_sets(0.0, grid, sys, controls, compiled=compiled)
+        compiled, reach = _zero_weight_corner_system()
         scores, terminal_score = compiled.slack_scores(np.zeros(2))
         tables, _ = dp.sweep_scores(compiled, reach, scores, terminal_score)
         assert [float(t.values[0]) for t in tables[1:]] == [0.0, -0.0, -0.0, -0.0]
@@ -624,6 +631,103 @@ class TestRowWindow:
         calls = TestFixedPointExit.kernel_calls(monkeypatch)
         self.assert_bitwise_reference(compiled, reach, scores, terminal)
         assert len(calls) < sys.horizon - 1
+
+
+class TestThresholdSequence:
+    """``dp.ThresholdSequence`` solves a run of thresholds in place in one
+    table, sweeping only the rows of the threshold window.  Every solve
+    equals its own ``backward_recursion`` byte for byte, signs of zero and
+    NaN patterns included."""
+
+    @staticmethod
+    def assert_sequence(seq, runs):
+        """Solve each (reach, thresholds) run of ``runs`` in order through
+        ``seq``; each solve against an independent ``backward_recursion``."""
+        for reach, thresholds in runs:
+            for c in thresholds:
+                tables = seq.tables(reach, c)
+                reference = rt.backward_recursion(seq.compiled, reach, c)
+                assert len(tables) == len(reference)
+                for t, r in zip(tables, reference):
+                    assert _same_bytes(t.values, r.values), (c, t.stage)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["nearest", "multilinear"]),
+           st.lists(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                             min_size=2, max_size=2), min_size=2, max_size=6))
+    def test_banded_tabular_systems(self, seed, interp, thresholds):
+        sys, grid, compiled, reach = _banded_tabular(np.random.default_rng(seed), interp)
+        # one sequence on the reachable sets, then on sets marking every node
+        self.assert_sequence(dp.ThresholdSequence(compiled),
+                             [(reach, thresholds), (full_grid_sets(grid, sys.horizon),
+                                                    thresholds)])
+
+    def test_coarse_fishery_along_both_axis_sweeps(self, coarse_fishery):
+        sys, grid, controls, compiled, reach = coarse_fishery
+        mesh = rt.threshold_ray_mesh(2.5, 24, [130.0, 60.0])
+        for sets in (reach, full_grid_sets(grid, sys.horizon)):
+            values = np.asarray([rt.robust_value(60.0, rt.backward_recursion(
+                compiled, sets, c)) for c in mesh.points])
+            assert np.all(values < 0)
+            seq = dp.ThresholdSequence(compiled)
+            # each axis sweep, then the revalidation points of both, in order
+            self.assert_sequence(seq, [(sets, mesh.points[list(members)])
+                                       for _, members in mesh.sweeps])
+            self.assert_sequence(seq, [(sets, mesh.points + values[:, None])])
+
+    def test_sweeps_fewer_rows_than_independent_solves(self, coarse_fishery, monkeypatch):
+        sys, grid, controls, compiled, reach = coarse_fishery
+        thresholds = rt.threshold_ray_mesh(2.5, 24, [130.0, 60.0]).points
+        swept = []
+        kernel = dp._stage_kernel
+
+        def counted(V, base, *args):
+            swept.append(len(base))
+            return kernel(V, base, *args)
+
+        monkeypatch.setattr(dp, "_stage_kernel", counted)
+        for c in thresholds:
+            rt.backward_recursion(compiled, reach, c)
+        independent, swept[:] = sum(swept), []
+        seq = dp.ThresholdSequence(compiled)
+        for c in thresholds:
+            seq.tables(reach, c)
+        assert 0 < sum(swept) < independent
+        # the same threshold again sweeps no row
+        swept.clear()
+        seq.tables(reach, thresholds[-1])
+        assert swept == []
+
+    def test_the_pinned_zero_weight_corner_system(self):
+        # stage 1 of node 0 reads V(1) only through a weight-0 corner, so a
+        # change of V(1)'s sign between thresholds flips its sign of zero
+        compiled, reach = _zero_weight_corner_system()
+        thresholds = [[0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [2.0, 0.0], [0.0, 0.0],
+                      [-1.0, 1.0], [1.0, 1.0], [-0.0, 0.0], [0.0, 0.0]]
+        self.assert_sequence(dp.ThresholdSequence(compiled), [(reach, thresholds)])
+
+    def test_a_solve_after_one_that_raised_is_exact(self):
+        # every node steps to the next one; stage slacks min(10 - c1, 2 - c2)
+        # and terminal slacks min(5 - c1, 100 - c2): c2 moves the stage
+        # scores only.  On sets that are not closed the solve for (0, 1)
+        # writes stages 3 and 4 and raises at stage 1; the next solve on
+        # closed sets must not take those rows for the tables of (0, 0).
+        n_states, horizon = 5, 3
+        transitions = np.broadcast_to(
+            ((np.arange(n_states) + 1) % n_states)[:, None, None], (n_states, 2, 2))
+        stage_values = np.broadcast_to([10.0, 2.0], (n_states, 2, 2)).copy()
+        terminal_values = np.broadcast_to([5.0, 100.0], (n_states, 2)).copy()
+        sys, grid, controls, compiled = TestFixedPointExit.tabular(
+            stage_values, terminal_values, transitions, horizon)
+        masks = np.ones((horizon + 2, n_states), dtype=bool)
+        masks[:horizon, 1:] = False
+        not_closed = rt.ReachableSets(grid=grid, masks=masks)
+        full = full_grid_sets(grid, horizon)
+        seq = dp.ThresholdSequence(compiled)
+        self.assert_sequence(seq, [(full, [[0.0, 0.0]])])
+        with pytest.raises(UnpopulatedNodeError):
+            seq.tables(not_closed, [0.0, 1.0])
+        self.assert_sequence(seq, [(full, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])])
 
 
 class TestProductSystem:

@@ -424,6 +424,34 @@ class TestFisherySmoke:
             a, b = getattr(serial, name), getattr(threaded, name)
             assert a.tobytes() == b.tobytes(), name
 
+    @staticmethod
+    def assert_same_front(a, b):
+        for name in ("points", "sources", "values", "revalidated", "skipped_sources",
+                     "skipped_values"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        assert (a.front_tol, a.diagnostics) == (b.front_tol, b.diagnostics)
+
+    def test_front_does_not_depend_on_jobs(self, coarse_fishery, tab, tab_front):
+        # one chunk, two, three, and more chunks than points: some chunks
+        # are empty or hold one point, and the tabular mesh has skipped
+        # points, so some chunks revalidate nothing
+        sys, grid, controls, compiled, reach = coarse_fishery
+        fishery = (60.0, rt.threshold_ray_mesh(10.0, 6, [130.0, 60.0]), sys, grid,
+                   controls, compiled, reach)
+        mesh = tab_front[0]
+        tabular = (tab.xi, ThresholdRayMesh(
+            points=np.vstack([mesh.points, [[-50.0, -50.0], [-10.0, -10.0]]]),
+            sweeps=mesh.sweeps), tab.sys, tab.grid, tab.controls, tab.compiled, tab.reach)
+        for xi, mesh, sys, grid, controls, compiled, reach in (fishery, tabular):
+            fronts = [pareto.weak_front(xi, mesh, sys, grid, controls, compiled=compiled,
+                                        reach=reach, jobs=jobs)
+                      for jobs in (1, 2, 3, len(mesh) + 1)]
+            assert len(fronts[0]) > 0
+            for other in fronts[1:]:
+                self.assert_same_front(fronts[0], other)
+        assert len(fronts[0].skipped_sources) == 2
+
     @pytest.mark.parametrize("perm", [(0, 1), (1, 0)])
     def test_strong_chains_certified_on_coarse_benchmark(self, perm, coarse_fishery):
         # on this coarse multilinear grid the masked steps blend their
