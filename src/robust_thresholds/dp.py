@@ -708,6 +708,8 @@ class ThresholdSequence:
         self._last = None  # (reach, threshold) of the tables in _T
 
     def tables(self, reach: ReachableSets, c) -> list[ValueTable]:
+        """Value tables V_0..V_{N+1} for threshold c on the reachable sets
+        ``reach``, as views of the shared table."""
         compiled = self.compiled
         c = as_threshold(c, compiled.sys.threshold_dim).copy()
         stage_scores, terminal = compiled.slack_scores(c)

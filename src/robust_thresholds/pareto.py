@@ -97,11 +97,12 @@ def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
     compared against ``front_tol``; residuals beyond it and out-of-order
     sweep coordinates become diagnostics, not errors.
 
-    The mesh is solved in ``jobs`` contiguous chunks, each in its own
-    thread and through its own ``dp.ThresholdSequence``: first its points,
-    then the projections of those it projects, both in mesh order, which
-    is sweep order.  Every solve equals its own ``backward_recursion`` bit
-    for bit, so the result does not depend on ``jobs``.
+    The mesh is solved in contiguous chunks, each through its own
+    ``dp.ThresholdSequence``: first its points, then the projections of
+    those it projects, both in mesh order, which is sweep order.  With
+    ``jobs`` > 1, ``jobs`` threads share 4 * ``jobs`` chunks.  Every solve
+    equals its own ``backward_recursion`` bit for bit, so the result does
+    not depend on ``jobs``.
     """
     _require_compiled_from(compiled, sys, grid, controls)
     points = mesh.points
@@ -121,8 +122,11 @@ def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
                                   dtype=float)
 
     if jobs > 1:
+        # points of one sweep cost alike, but the sweeps do not (the window
+        # saves far more along some axes), so one chunk per thread would
+        # leave threads idle; each extra chunk costs one full sweep
         with ThreadPoolExecutor(max_workers=min(jobs, len(points))) as ex:
-            parts = list(ex.map(solve_chunk, np.array_split(points, jobs)))
+            parts = list(ex.map(solve_chunk, np.array_split(points, 4 * jobs)))
     else:
         parts = [solve_chunk(points)]
     values = np.concatenate([v for v, _ in parts])

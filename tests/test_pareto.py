@@ -433,9 +433,9 @@ class TestFisherySmoke:
         assert (a.front_tol, a.diagnostics) == (b.front_tol, b.diagnostics)
 
     def test_front_does_not_depend_on_jobs(self, coarse_fishery, tab, tab_front):
-        # one chunk, two, three, and more chunks than points: some chunks
-        # are empty or hold one point, and the tabular mesh has skipped
-        # points, so some chunks revalidate nothing
+        # one chunk, 8, 12, and more chunks than points: some chunks are
+        # empty or hold one point, and the tabular mesh has skipped points,
+        # so some chunks revalidate nothing
         sys, grid, controls, compiled, reach = coarse_fishery
         fishery = (60.0, rt.threshold_ray_mesh(10.0, 6, [130.0, 60.0]), sys, grid,
                    controls, compiled, reach)
