@@ -3,12 +3,15 @@
     python3 scripts/code_size.py [DIR]
 
 DIR defaults to ``src/robust_thresholds``; every ``*.py`` file in it is
-counted.  A code line holds a token other than a comment and is not part
-of a docstring (the string that opens a module, class or function body).
-Blank lines, comment lines and docstring lines are therefore not code.  A
-settable value is a parameter with a default (of a function, method or
-lambda) or a field with a default in a ``@dataclass`` class body, unless
-the field is ``field(init=False, ...)``, which no caller can set.
+counted, and every ``*.c`` file on a row of its own.  A code line holds a
+token other than a comment and is not part of a docstring (the string that
+opens a module, class or function body).  Blank lines, comment lines and
+docstring lines are therefore not code; in C a code line holds a character
+outside a comment other than white space.  A settable value is a parameter
+with a default (of a function, method or lambda) or a field with a default
+in a ``@dataclass`` class body, unless the field is ``field(init=False,
+...)``, which no caller can set.  The total counts the code lines of both
+languages.
 """
 
 from __future__ import annotations
@@ -49,6 +52,36 @@ def code_lines(source: str) -> int:
         if any(a <= tok.start and tok.end <= b for a, b in spans):
             continue
         lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def c_code_lines(source: str) -> int:
+    """Number of lines of C source holding a character that is neither
+    white space nor part of a ``/* */`` or ``//`` comment; string and
+    character literals are code."""
+    lines, i, line, n = set(), 0, 1, len(source)
+    while i < n:
+        ch = source[i]
+        if source.startswith("/*", i):
+            end = source.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            line += source.count("\n", i, end)
+            i = end
+        elif source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+        elif ch in "\"'":
+            lines.add(line)
+            i += 1
+            while i < n and source[i] != ch:
+                i += 2 if source[i] == "\\" else 1
+            i += 1
+        else:
+            if ch == "\n":
+                line += 1
+            elif not ch.isspace():
+                lines.add(line)
+            i += 1
     return len(lines)
 
 
@@ -95,6 +128,10 @@ def main(argv=None) -> int:
         total_lines += lines
         total_values += values
         print(f"{path.name:<16} {lines:>6} code lines {values:>4} settable values")
+    for path in sorted(Path(args.dir).glob("*.c")):
+        lines = c_code_lines(path.read_text())
+        total_lines += lines
+        print(f"{path.name:<16} {lines:>6} code lines")
     print(f"{'total':<16} {total_lines:>6} code lines {total_values:>4} settable values")
     return 0
 

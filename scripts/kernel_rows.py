@@ -5,7 +5,8 @@
 
 Each case runs once with ``dp._stage_kernel`` wrapped by a counter, and
 prints the kernel calls, the rows swept (a row is one grid node of one
-stage, over every control and scenario) and the wall time:
+stage, over every control and scenario), the lane-rows (rows times the
+thresholds a call solves at once) and the wall time:
 
 - ``fishery-front``: one round of the benchmark's ``fishery-front``
   workload, the 10-point subset of the default ray mesh;
@@ -44,20 +45,22 @@ def _cases():
             "tabular-suite": lambda: WORKLOADS["tabular-suite"](SEED, "full")}
 
 
-def count(make) -> tuple[int, int, float]:
-    """(kernel calls, rows swept, seconds) of one round of ``make()``."""
+def count(make) -> tuple[int, int, int, float]:
+    """(kernel calls, rows swept, lane-rows, seconds) of one round of
+    ``make()``."""
     from robust_thresholds import dp
 
     workload = make()
     workload.setup()
-    calls = rows = 0
+    calls = rows = lane_rows = 0
     kernel = dp._stage_kernel
 
-    def counted(V, base, *args):
-        nonlocal calls, rows
+    def counted(stage, n):
+        nonlocal calls, rows, lane_rows
         calls += 1
-        rows += len(base)
-        return kernel(V, base, *args)
+        rows += stage.r1 - stage.r0
+        lane_rows += (stage.r1 - stage.r0) * stage.K
+        return kernel(stage, n)
 
     dp._stage_kernel = counted
     try:
@@ -68,7 +71,7 @@ def count(make) -> tuple[int, int, float]:
         dp._stage_kernel = kernel
     if failed:
         raise SystemExit(f"error: {failed} operations failed")
-    return calls, rows, seconds
+    return calls, rows, lane_rows, seconds
 
 
 def main(argv=None) -> int:
@@ -78,10 +81,10 @@ def main(argv=None) -> int:
     unknown = sorted(set(names) - set(cases))
     if unknown:
         raise SystemExit(f"error: unknown case {unknown}; one of {sorted(cases)}")
-    print(f"{'case':<16}{'calls':>10}{'rows':>14}{'seconds':>10}")
+    print(f"{'case':<16}{'calls':>10}{'rows':>14}{'lane-rows':>14}{'seconds':>10}")
     for name in names:
-        calls, rows, seconds = count(cases[name])
-        print(f"{name:<16}{calls:>10,}{rows:>14,}{seconds:>10.2f}")
+        calls, rows, lane_rows, seconds = count(cases[name])
+        print(f"{name:<16}{calls:>10,}{rows:>14,}{lane_rows:>14,}{seconds:>10.2f}")
     return 0
 
 

@@ -37,37 +37,42 @@ scores.  A threshold then touches only scores.
 
 One backward loop serves both the optimizing sweep (``sweep_scores``) and
 the evaluation of a fixed policy (``sweep_policy``): evaluating a policy
-is the same max over a one-control set, each row gathering only the cells
-of its chosen control.  Every stage runs one kernel.  Corner j of the
-grid cell an image falls in is node base + offsets[j]: ``StateGrid.locate``
-keeps every cell inside the grid, so the offsets follow from the grid
-strides alone, and the compiled system stores one intp ``base`` per
-(node, control, scenario) instead of 2**dim corner indices.  Each stage
-builds the stencil table S[k, j] = V[k + offsets[j]] of the next-stage
-values and gathers whole rows of it with one ``take`` on ``base``.  The
-interpolation weights are stored corner-last, so the gathered block is
-weighted in one contiguous pass; the corners are then summed in place in
-corner order, which gives the products and sums of a corner-by-corner
-accumulation.  Under nearest-node interpolation there is one corner, of
-weight exactly 1, so the gather reads V directly and skips the product.  The kernel then takes the minimum over
-scenarios and with the stage score.  The scenario axis, like the
-constraint axis of the score builders, is short (two entries on the
-fishery), so every minimum over it is taken slice by slice with
-``np.minimum``: a ufunc reduction over a 2-element axis costs an order of
-magnitude more than the elementwise minimum of its two slices.  The float
-operations are the same either way, so tables are bitwise those of a
-plain ``.min(axis=-1)``.
+is the same max over a one-control set, each row reading only the cells of
+its chosen control, which the kernel takes from the policy's row of
+control indices.  Every stage runs one kernel, compiled from
+``_kernel.c`` on first import (see ``_load_kernel``) and called through
+``ctypes``, which releases the interpreter lock while it runs.  Corner j
+of the grid cell an image falls in is node base + offsets[j]:
+``StateGrid.locate`` keeps every cell inside the grid, so the offsets
+follow from the grid strides alone, and the compiled system stores one
+intp ``base`` per (node, control, scenario) instead of 2**dim corner
+indices.  The kernel fuses the whole stage: per cell it sums the weighted
+corner values corner by corner, V[c0] * w0 + V[c1] * w1 + ... (under
+nearest-node interpolation the one corner has weight exactly 1 and is read
+as it is), takes the minimum over scenarios in scenario order, then with
+the stage score, and the maximum over controls with its argmax.
 
-The gathered block and the per-stage result live in one scratch buffer
-per thread and compiled system (``CompiledSystem._scratch``), kept across
-sweeps: ``weak_front`` may solve in several threads on one compiled
-system, and a fresh block per sweep faults in megabytes of new pages on
-every solve.  The slack scores, built before a sweep, take their
-per-component differences through the same buffer.
+A sweep runs K thresholds at once in one (N+2, n_nodes, K) table: row n
+holds V_n of every threshold, one lane each, NaN on every node outside
+R_n, so NaN alone marks the unpopulated nodes of a table.  Each cell's
+base and weights, 24 bytes under two corners, are read once for all K
+lanes, and the kernel builds the slack scores min_i (g_i - c_i) of each
+lane itself from the constraint table, in the operation order of
+``_slack``, so no score array is built per threshold.  ``weak_front``
+solves its ray mesh four thresholds per sweep; every single solve
+(``backward_recursion``, ``sweep_scores``, ``sweep_policy``) is a sweep
+with K = 1.  A lane's float operations do not depend on the other lanes,
+so each lane equals its own K = 1 solve bit for bit.
 
-A sweep writes one (N+2, n_nodes) array: row n is V_n, NaN on every node
-outside R_n, so NaN alone marks the unpopulated nodes of a table, and the
-tables it returns are views of its rows.
+The kernel's rules for signed zeros and NaN are stated, not inherited
+from numpy's reductions.  A minimum is that of ``np.minimum``, which
+returns its second argument when the two compare equal, so
+minimum(0.0, -0.0) is -0.0, and propagates NaN.  The maximum over
+controls runs in control order with a strict >: a tie keeps the first
+control and its value, and NaN, once met, sticks.  (numpy's max reduction
+follows no such sequential rule on arrays of signed zeros.)  A NaN result
+means the stage read a node that was never populated, and the kernel
+reports it.
 
 An optimizing sweep runs the kernel only on the rows whose inputs
 changed.  Say stage n repeats stage n+1: both have one stage table and
@@ -78,20 +83,21 @@ from, and sets marking every node under any; other hand-built sets sweep
 every row.  The support of a row is every node base + offsets over its
 controls, scenarios and corners, zero-weight corners included: 0 * NaN is
 NaN, and a changed value can flip the sign of a zero sum.  If V_{n+1}
-equals V_{n+2} bit for bit on a row's support, stage n runs on that row the float
-operations stage n+1 ran on it (the kernel's operations on a row do not
-depend on the other rows swept), so V_n there is V_{n+1} bit for bit and
-the argmax is stage n+1's: the row is copied.  The rows left form a
-window.  On R_{n+1}, which holds the support of every row of R_n, V_{n+1}
-differs from V_{n+2} only on the rows stage n+1 swept, the others being
-copies; there the two are compared as int64, since -0.0 == 0.0 as
-floats, for the first and the last changed node.  Two support envelopes
-per stage table, built on first use, bound each row's support: the
-running max from the first row of each row's highest support node, and
-the running min from the last row of each row's lowest.  Bisecting them
-gives the hull of the rows whose support range meets the span from the
-first changed node to the last.  Where the envelopes show that no change
-within the swept rows could exclude a row, as on most small tabular
+equals V_{n+2} bit for bit on a row's support, in every lane, stage n
+runs on that row the float operations stage n+1 ran on it (the kernel's
+operations on a row do not depend on the other rows swept), so V_n there
+is V_{n+1} bit for bit and the argmax is stage n+1's: the row is copied.
+The rows left form a window.  On R_{n+1}, which holds the support of every
+row of R_n, V_{n+1} differs from V_{n+2} only on the rows stage n+1 swept,
+the others being copies; there the two are compared as int64, since
+-0.0 == 0.0 as floats, for the first and the last changed node of any
+lane, so a batch's window is the hull over its lanes.  Two support
+envelopes per stage table, built on first use, bound each row's support:
+the running max from the first row of each row's highest support node,
+and the running min from the last row of each row's lowest.  Bisecting
+them gives the hull of the rows whose support range meets the span from
+the first changed node to the last.  Where the envelopes show that no
+change within the swept rows could exclude a row, as on most small tabular
 systems, the changed nodes are not located: only their absence is tested.
 A flat-index range holds a row's support in any dimension, so the hull is
 exact there too, but only slice rows are windowed: rows given by an index
@@ -101,39 +107,20 @@ lower stage repeats stage n+1 as well, each lower stage j gets V_{n+1} on
 R_j and, with a policy, stage n+1's choices there, and the loop stops.
 Policy evaluation runs every stage.
 
-The same argument runs along the threshold axis.  ``ThresholdSequence``
-solves a run of thresholds, as ``weak_front`` walks its ray mesh, in place
-in one (N+2, n_nodes) table: when stage n of threshold c' is swept, row n
-still holds V_n of the previous threshold c on the same reachable sets.
-A row of R_n whose score row is unchanged bit for bit, and whose support
-saw no change from V_{n+1}(c) to V_{n+1}(c'), would run the float
-operations it ran for c, so it keeps V_n(c): no copy is needed at all.
-The score rows are compared as int64 once per distinct score array, with
-the slacks of c rebuilt in the kernel scratch, so no second set of score
-arrays is kept.  The changed nodes of V_{n+1} are found, as int64 too, at
-the moment stage n+1 overwrites its rows: on the rows it swept and on the
-rows it copied from stage n+2, the rows it kept being unchanged.  The
-threshold window of stage n is the hull of the rows whose score row
-changed and of the rows whose support range, by the same envelopes,
-meets the span of those changed nodes.  A row outside the stage window
-copies stage n+1, a row outside the threshold window keeps its value, and
-the kernel runs on the intersection of the two windows, again a slice;
-both kinds of row hold exactly the value the kernel would compute.  So
-stage n-1 compares stage n with stage n+1 on every row that did not copy.
-The first solve of a sequence, one on other reachable sets and one after
-a solve that raised (which leaves the table half overwritten) sweep in
-full.
-
 Everything here is deterministic: control ties resolve to the lowest mesh
 index, so repeated runs reproduce tables bitwise.
 """
 
 from __future__ import annotations
 
-import threading
+import ctypes
+import os
+import tempfile
+import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -147,7 +134,8 @@ __all__ = [
     "CompiledSystem",
     "compile_system",
     "backward_recursion",
-    "ThresholdSequence",
+    "solve_batch",
+    "batch_values",
     "robust_value",
     "solve_value",
     "membership",
@@ -249,11 +237,6 @@ class CompiledSystem:
             self._stages = [self._fold_caps(*self._build_stage(k), k)
                             for k in range(horizon + 1)]
         self.theta_vals = self._terminal_at(self._nodes)
-        # per control, the stage kernel's scratch at its largest stage: the
-        # gathered corners of every (row, scenario) and one result per row
-        n_w = max(len(om) for om in sys.scenario_sets)
-        self._scratch_per_control = grid.n_nodes * (n_w * len(self.offsets) + 1)
-        self._local = threading.local()
 
     # internal evaluation helpers ------------------------------------------------
 
@@ -338,18 +321,6 @@ class CompiledSystem:
     def stage(self, k: int) -> _StageArrays:
         return self._stages[k]
 
-    def _scratch(self, n_ctrl: int) -> np.ndarray:
-        """Flat stage-kernel scratch for sweeps over ``n_ctrl`` controls per
-        row.  Each thread keeps one buffer per compiled system, grown on
-        demand and reused by every later sweep: a block this size allocated
-        per sweep is mapped fresh and faults in page by page each time, and
-        ``weak_front`` solves in several threads at once."""
-        size = self._scratch_per_control * n_ctrl
-        buf = getattr(self._local, "buf", None)
-        if buf is None or len(buf) < size:
-            buf = self._local.buf = np.empty(size)
-        return buf
-
     # threshold-dependent score construction --------------------------------
 
     def _scores(self, score):
@@ -368,10 +339,7 @@ class CompiledSystem:
 
     def slack_scores(self, c: np.ndarray):
         """Per-stage (n_nodes, n_u) and terminal arrays of min_i (g_i - c_i)."""
-        # no sweep runs while scores are built, so the differences can go
-        # through this thread's kernel scratch
-        buf = self._scratch(len(self.controls))
-        return self._scores(lambda g: _slack(g, c, buf, np.empty(g.shape[:-1])))
+        return self._scores(lambda g: _slack(g, c))
 
     def masked_component_scores(self, c: np.ndarray, comp: int):
         """Scores for the component-`comp` constrained maximin problem.
@@ -382,28 +350,11 @@ class CompiledSystem:
         when its slack is >= 0: the sign of a float difference is exact,
         and NaN fails both tests.
         """
-        buf = self._scratch(len(self.controls))
-        return self._scores(lambda g: np.where(
-            _slack(g, c, buf, np.empty(g.shape[:-1])) >= 0, g[..., comp], NEG_INF))
+        return self._scores(lambda g: np.where(_slack(g, c) >= 0, g[..., comp], NEG_INF))
 
     def component_scores(self, comp: int):
         """Raw per-component constraint values (used for policy rollup)."""
-        return self._scores(lambda g: g[..., comp])
-
-    def _moved_rows(self, stage_scores: list, c: np.ndarray) -> dict:
-        """For each distinct array of the slack scores ``stage_scores``, by
-        id, the sorted rows where it differs from the slack scores of the
-        threshold c, compared as int64.  The slacks of c are rebuilt one
-        array at a time in this thread's kernel scratch, which holds two."""
-        buf = self._scratch(len(self.controls))
-        moved = {}
-        for sa, new in zip(self._stages, stage_scores):
-            if id(new) not in moved:
-                old = _slack(sa.g_vals, c, buf,
-                             buf[new.size:2 * new.size].reshape(new.shape))
-                moved[id(new)] = np.flatnonzero(
-                    (new.view(np.int64) != old.view(np.int64)).any(axis=1))
-        return moved
+        return self._scores(lambda g: np.ascontiguousarray(g[..., comp]))
 
 
 def compile_system(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
@@ -411,64 +362,99 @@ def compile_system(sys: SystemSpec, grid: StateGrid, controls: ControlMesh,
     return CompiledSystem(sys, grid, controls, interp)
 
 
-def _slack(g: np.ndarray, c: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """min_i (g_i - c_i) over the constraint (last) axis of g, into
-    ``out``, one component at a time, each difference taken into the head
-    of the flat scratch ``buf``: no temporary of g's size, nor of one
-    component's."""
-    np.subtract(g[..., 0], c[0], out=out)
-    diff = buf[:out.size].reshape(out.shape)
+def _slack(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """min_i (g_i - c_i) over the constraint (last) axis of g and c, one
+    component at a time; the two broadcast against each other."""
+    out = np.subtract(g[..., 0], c[..., 0])
     for i in range(1, g.shape[-1]):
-        np.minimum(out, np.subtract(g[..., i], c[i], out=diff), out=out)
+        np.minimum(out, np.subtract(g[..., i], c[..., i]), out=out)
     return out
 
 
+# -- the compiled stage kernel ---------------------------------------------
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_CACHE = _SOURCE.with_name("__pycache__")
+CC = "cc"
+# no -ffast-math or -Ofast: the kernel must keep IEEE semantics, signed
+# zeros and NaN included, and no contraction may fuse a product and a sum
+CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build_kernel(cache: Path) -> Path:
+    """The kernel library in ``cache``, compiled there first when no library
+    of this source, compiler command and machine exists.  The compiler
+    writes a temporary file, which then replaces the target in one step, so
+    a concurrent import sees either no library or a whole one."""
+    source = _SOURCE.read_bytes()
+    key = zlib.crc32(" ".join([os.uname().machine, CC, *CFLAGS]).encode() + source)
+    target = cache / f"_kernel-{key:08x}.so"
+    if target.exists():
+        return target
+    import subprocess  # only a cache miss runs the compiler
+
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix="_kernel-", suffix=".tmp")
+    os.close(fd)
+    command = [CC, *CFLAGS, "-o", tmp, "-x", "c", "-"]
+    shown = f"{' '.join(command)} < {_SOURCE}"
+    try:
+        proc = subprocess.run(command, input=source, capture_output=True)
+        if proc.returncode:
+            raise ImportError(f"building the stage kernel failed: {shown}\n"
+                              + proc.stderr.decode(errors="replace"))
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise ImportError(f"building the stage kernel failed: {shown}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+class _Stage(ctypes.Structure):
+    """``struct stage`` of ``_kernel.c``, field for field."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "V", "out", "choices", "base", "cw", "offsets", "scores", "g", "c", "fixed",
+        "rows")] + [(name, ctypes.c_ssize_t) for name in (
+            "r0", "r1", "n_u", "n_w", "C", "K", "m")]
+
+
+def _load_kernel(cache: Path):
+    """``rt_stage`` of the kernel library built in ``cache``."""
+    fn = ctypes.CDLL(str(_build_kernel(cache))).rt_stage
+    fn.argtypes = [ctypes.POINTER(_Stage)]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_rt_stage = _load_kernel(_CACHE)
+
+
+def _stage_kernel(stage: _Stage, n: int) -> None:
+    """Run the compiled kernel on ``stage``, stage n of a sweep: rows
+    r0..r1 (of ``stage.rows`` if set), K lanes.  Raises
+    UnpopulatedNodeError when a result is NaN, which only a touched node
+    that was never populated gives, or when a policy leaves a row without
+    a control."""
+    flag = _rt_stage(stage)
+    if flag == 1:
+        raise UnpopulatedNodeError(f"stage-{n} sweep touched unpopulated next-stage nodes")
+    if flag:
+        raise UnpopulatedNodeError(f"policy gap on reachable nodes at stage {n}")
+
+
+def _address(a: np.ndarray, dtype, shape: tuple) -> int:
+    """Address of ``a`` after checking that the kernel may read it as a
+    C-contiguous array of ``dtype`` and ``shape``."""
+    if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
+        raise ValueError(f"kernel input of dtype {a.dtype} and shape {a.shape} is not "
+                         f"a C-contiguous {np.dtype(dtype)} array of shape {shape}")
+    return a.ctypes.data
+
+
 # -- core sweeps ------------------------------------------------------------
-
-
-def _stage_kernel(V: np.ndarray, base: np.ndarray, cw: np.ndarray | None,
-                  offsets: np.ndarray, scores: np.ndarray,
-                  buf: np.ndarray) -> np.ndarray:
-    """min(worst case over scenarios of the interpolated V, stage scores).
-
-    ``base`` (..., n_w) holds corner 0 of each cell and ``cw`` (..., n_w, C)
-    the corner-last weights (None for a single corner); ``scores`` and the
-    result have the shape of ``base`` without the scenario axis.  Rows of
-    the stencil S[k, j] = V[k + offsets[j]] are gathered at ``base``,
-    weighted and summed corner by corner, V[c0] * w0 + V[c1] * w1 + ...;
-    a single corner (nearest node) has weight exactly 1 and is read from V
-    as it is.  The minima over the short scenario axis are taken slice by
-    slice.  NaN from any touched unpopulated node propagates into the
-    result (weights never cancel it).  ``buf`` is the flat scratch of
-    ``CompiledSystem._scratch``; the result lives in it until the next call
-    on the same buffer.
-    """
-    size = base.size * len(offsets)
-    # bases are in range by construction; mode "raise" would gather into
-    # a temporary copy of ``out``
-    if len(offsets) == 1:
-        acc = buf[:size].reshape(base.shape)
-        V.take(base, out=acc, mode="clip")
-    else:
-        n = len(V)
-        S = np.empty((n, len(offsets)))
-        for j, off in enumerate(offsets):
-            S[:n - off, j] = V[off:]
-            S[n - off:, j] = np.nan  # never read: every cell lies inside the grid
-        G = buf[:size].reshape(cw.shape)
-        S.take(base, axis=0, out=G, mode="clip")
-        G *= cw
-        acc = G[..., 0]
-        for j in range(1, len(offsets)):
-            acc += G[..., j]
-    q = buf[size:size + scores.size].reshape(scores.shape)
-    if acc.shape[-1] == 1:
-        np.copyto(q, acc[..., 0])
-    else:
-        np.minimum(acc[..., 0], acc[..., 1], out=q)
-        for s in range(2, acc.shape[-1]):
-            np.minimum(q, acc[..., s], out=q)
-    return np.minimum(q, scores, out=q)
 
 
 _EMPTY = slice(0, 0)
@@ -476,7 +462,8 @@ _EMPTY = slice(0, 0)
 
 def _window(vals: np.ndarray, V_next: np.ndarray, swept, rows, sa: _StageArrays):
     """The rows of ``rows`` that stage n must sweep when it repeats stage
-    n+1, which computed ``vals`` from ``V_next`` on the rows ``swept``.
+    n+1, which computed ``vals`` from ``V_next`` on the rows ``swept``;
+    both hold K lanes per row, and a row changed if any lane did.
 
     ``_EMPTY`` when ``vals`` equals ``V_next`` on ``swept`` bit for bit.
     Else the hull of the rows whose support range, by the envelopes of
@@ -501,156 +488,88 @@ def _window(vals: np.ndarray, V_next: np.ndarray, swept, rows, sa: _StageArrays)
     return _EMPTY if vals.tobytes() == V_next[swept].tobytes() else rows
 
 
-def _changed(old: np.ndarray, new: np.ndarray, seg):
-    """(first, last) node where ``new`` differs from ``old``, compared as
-    int64, on the rows ``seg`` of a stage; None where none does."""
-    d = (old.view(np.int64) != new.view(np.int64)).nonzero()[0]
-    if not len(d):
-        return None
-    if isinstance(seg, slice):
-        return (seg.start or 0) + int(d[0]), (seg.start or 0) + int(d[-1])
-    return int(seg[d[0]]), int(seg[d[-1]])
+def _sweep(compiled: CompiledSystem, reach: ReachableSets, T: np.ndarray,
+           scores: list | None, c: np.ndarray | None, fixed: np.ndarray | None,
+           choices: np.ndarray | None) -> None:
+    """Backward maximin sweep into ``T``, (N+2, n_nodes, K), whose last row
+    already holds the terminal scores and which is NaN on every node of
+    the other rows.
 
-
-def _join(a, b):
-    return b if a is None else a if b is None else (min(a[0], b[0]), max(a[1], b[1]))
-
-
-def _moved_window(span, moved: np.ndarray, rows, sa: _StageArrays):
-    """The rows of ``rows`` whose stage result may differ from the previous
-    threshold's: the hull of the rows in ``moved`` (sorted), whose score
-    row changed, and of the rows whose support range, by the envelopes of
-    ``sa``, meets ``span``, the first and last node of the stage above
-    that changed (None for none).  ``rows`` itself when rows is an index
-    array and anything changed."""
-    if not isinstance(rows, slice):
-        return rows if span or len(moved) else _EMPTY
-    r0, r1, _ = rows.indices(len(sa.base))
-    hulls = []
-    i, j = np.searchsorted(moved, (r0, r1))
-    if i < j:
-        hulls.append((int(moved[i]), int(moved[j - 1]) + 1))
-    if span and sa.envelopes:
-        hi, lo = sa.envelopes
-        hulls.append((bisect_left(hi, span[0]), bisect_right(lo, span[1])))
-    elif span:
-        hulls.append((r0, r1))
-    hulls = [h for h in hulls if h[0] < h[1]]
-    if not hulls:
-        return _EMPTY
-    a, b = max(r0, min(h[0] for h in hulls)), min(r1, max(h[1] for h in hulls))
-    return rows if (a, b) == (r0, r1) else slice(a, b) if a < b else _EMPTY
-
-
-def _meet(live, w, rows):
-    """Intersection of two windows of ``rows``."""
-    if live is _EMPTY or w is _EMPTY:
-        return _EMPTY
-    if live is rows or w is rows:
-        return w if live is rows else live
-    a, b = max(live.start, w.start), min(live.stop, w.stop)
-    return slice(a, b) if a < b else _EMPTY
-
-
-def _outside(w, live, rows, n_nodes: int):
-    """The slices of the window ``w`` that lie outside the window ``live``
-    of ``rows``."""
-    if live is rows or w is _EMPTY:
-        return ()
-    if live is _EMPTY:
-        return (w,)
-    p, q, _ = w.indices(n_nodes)
-    return tuple(seg for seg in (slice(p, min(q, live.start)), slice(max(p, live.stop), q))
-                 if seg.start < seg.stop)
-
-
-def _sweep(compiled: CompiledSystem, reach: ReachableSets,
-           stage_scores: list[np.ndarray], terminal_score: np.ndarray,
-           fixed: np.ndarray | None, want_policy: bool, T: np.ndarray,
-           moved: dict | None):
-    """Backward maximin sweep into ``T``, (N+2, n_nodes); returns (tables,
-    argmax choices or None).
-
-    With ``fixed`` None every row maximizes over the whole control mesh.
-    A policy's ``fixed`` choices restrict each row to its one chosen
-    control: the kernel then sees a control axis of length one, and the
-    max over it evaluates the policy.
-
-    With ``moved`` None every row of every stage is written, and ``T`` is
-    NaN off the reachable sets.  Else, for an optimizing sweep without a
-    policy, ``T`` holds the tables of the previous threshold on the same
-    sets and ``moved`` gives, by id of each score array, the rows whose
-    score row changed since: a row that is outside the threshold window
-    keeps the previous threshold's value (module docstring).
+    The stage-n score is ``scores[n]`` (n_nodes, n_u), shared by the K
+    lanes, or, with ``scores`` None, the slack of lane k's threshold
+    ``c[:, k]`` (``c`` is (m, K)).  A policy ``fixed`` (N+1, n_nodes)
+    restricts each row to its one chosen control, so the max over one
+    control evaluates the policy.  ``choices`` (N+1, n_nodes, K), if
+    given, receives the argmax controls.
     """
-    sys, grid = compiled.sys, compiled.grid
-    n_nodes = grid.n_nodes
-    choices = (np.full((sys.horizon + 1, n_nodes), -1, dtype=np.int32)
-               if want_policy else None)
-    rows = reach.selectors[sys.horizon + 1]
-    if moved is not None:
-        span = _changed(T[-1, rows], terminal_score[rows], rows)
-    T[-1, rows] = terminal_score[rows]
-    buf = compiled._scratch(len(compiled.controls) if fixed is None else 1)
+    sys, n_nodes = compiled.sys, compiled.grid.n_nodes
+    K = T.shape[2]
+    T_at = _address(T, np.float64, (sys.horizon + 2, n_nodes, K))
+    row = n_nodes * K * 8
+    stage = _Stage(offsets=_address(compiled.offsets, np.intp, compiled.offsets.shape),
+                   K=K, C=len(compiled.offsets), n_u=len(compiled.controls),
+                   m=sys.threshold_dim)
+    if c is not None:
+        stage.c = _address(c, np.float64, (sys.threshold_dim, K))
+    if fixed is not None:
+        fixed_at = _address(fixed, np.int32, (sys.horizon + 1, n_nodes))
+    if choices is not None:
+        choices_at = _address(choices, np.int32, (sys.horizon + 1, n_nodes, K))
+    addresses = {}  # id -> address of each stage array, taken once per sweep
+
+    def at(a: np.ndarray, dtype, *shape) -> int:
+        if id(a) not in addresses:
+            addresses[id(a)] = _address(a, dtype, shape)
+        return addresses[id(a)]
+
+    def repeats(j: int, n: int) -> bool:
+        """Stage j runs the operator of stage n: stage arrays and scores."""
+        return compiled.stage(j) is compiled.stage(n) and (
+            scores is None or scores[j] is scores[n])
+
     closed = fixed is None and (reach.closed_under is compiled or reach.full)
+    swept = None
     for n in range(sys.horizon, -1, -1):
-        rows, sa, scores = reach.selectors[n], compiled.stage(n), stage_scores[n]
-        live = rows  # the rows that do not copy stage n+1
-        if (closed and n < sys.horizon and n + 1 < reach.nested
-                and compiled.stage(n + 1) is sa and stage_scores[n + 1] is scores):
+        rows, sa = reach.selectors[n], compiled.stage(n)
+        window = rows
+        if closed and n < sys.horizon and n + 1 < reach.nested and repeats(n + 1, n):
             # stage n repeats stage n+1, which differs from stage n+2 only
-            # within ``vals`` on the rows ``swept``: every row outside the
-            # window copies stage n+1 (module docstring)
-            window = _window(vals, T[n + 2], swept, rows, sa)
-            if window is _EMPTY and all(compiled.stage(j) is sa and stage_scores[j] is scores
-                                        for j in range(n)):
-                np.copyto(T[:n + 1], T[n + 1], where=reach.masks[:n + 1])
-                if want_policy:
-                    np.copyto(choices[:n + 1], choices[n + 1], where=reach.masks[:n + 1])
+            # on the rows ``swept``: every row outside the window copies
+            # stage n+1 (module docstring)
+            window = _window(T[n + 1, swept], T[n + 2], swept, rows, sa)
+            if window is _EMPTY and all(repeats(j, n) for j in range(n)):
+                where = reach.masks[:n + 1, :, None]
+                np.copyto(T[:n + 1], T[n + 1], where=where)
+                if choices is not None:
+                    np.copyto(choices[:n + 1], choices[n + 1], where=where)
                 break
-            if window is not rows and moved is None:
+            if window is not rows:
                 T[n, rows] = T[n + 1, rows]
-                if want_policy:
+                if choices is not None:
                     choices[n, rows] = choices[n + 1, rows]
-            live = window
-        swept = live
-        if moved is not None:
-            # the rows of the threshold window copy stage n+1 or run the
-            # kernel; the others keep the previous threshold's values
-            moving = _moved_window(span, moved[id(scores)], rows, sa)
-            span = None
-            for seg in _outside(moving, live, rows, n_nodes):
-                span = _join(span, _changed(T[n, seg], T[n + 1, seg], seg))
-                T[n, seg] = T[n + 1, seg]
-            swept = _meet(live, moving, rows)
-        if swept is not _EMPTY:
-            if fixed is None:
-                cells = (swept,)
-            else:
-                p = fixed[n][swept]
-                # an index of -1 would silently read the last control
-                if np.any(p < 0):
-                    raise UnpopulatedNodeError(f"policy gap on reachable nodes at stage {n}")
-                # each row's chosen cells only, shape (rows, 1, n_w)
-                cells = (np.arange(n_nodes)[swept], p, None)
-            # a single corner has weight 1 and the kernel never reads it
-            cw = sa.corner_w[cells] if len(sa.offsets) > 1 else None
-            q = _stage_kernel(T[n + 1], sa.base[cells], cw, sa.offsets, scores[cells], buf)
-            vals = q.max(axis=-1)
-            if np.isnan(vals).any():
-                raise UnpopulatedNodeError(
-                    f"stage-{n} sweep touched unpopulated next-stage nodes")
-            if want_policy:
-                choices[n][swept] = q.argmax(axis=-1)
-            if moved is not None:
-                span = _join(span, _changed(T[n, swept], vals, swept))
-            T[n, swept] = vals
-        if moved is not None:
-            # stage n differs from stage n+1 only on the rows it did not copy
-            vals, swept = T[n, live], live
-        elif swept is _EMPTY:  # every row copied: nothing for the kernel
-            vals = T[n, swept]
-    return [ValueTable(n, grid, T[n], compiled.interp) for n in range(len(T))], choices
+        swept = window
+        if window is _EMPTY:  # every row copied: nothing for the kernel
+            continue
+        n_u, n_w = stage.n_u, sa.base.shape[2]
+        stage.V, stage.out, stage.n_w = T_at + (n + 1) * row, T_at + n * row, n_w
+        stage.base = at(sa.base, np.intp, n_nodes, n_u, n_w)
+        if stage.C > 1:
+            stage.cw = at(sa.corner_w, np.float64, n_nodes, n_u, n_w, stage.C)
+        if scores is None:
+            stage.g = at(sa.g_vals, np.float64, n_nodes, n_u, sys.threshold_dim)
+        else:
+            stage.scores = at(scores[n], np.float64, n_nodes, n_u)
+        if fixed is not None:
+            stage.fixed = fixed_at + n * n_nodes * 4
+        if choices is not None:
+            stage.choices = choices_at + n * n_nodes * K * 4
+        if isinstance(window, slice):
+            stage.rows = None
+            stage.r0, stage.r1, _ = window.indices(n_nodes)
+        else:
+            stage.rows = at(window, np.intp, len(window))
+            stage.r0, stage.r1 = 0, len(window)
+        _stage_kernel(stage, n)
 
 
 def sweep_scores(compiled: CompiledSystem, reach: ReachableSets,
@@ -661,8 +580,11 @@ def sweep_scores(compiled: CompiledSystem, reach: ReachableSets,
     ``choices[n, i]`` is the index into ``compiled.controls`` attaining the
     max at stage n and node i, -1 on nodes the sweep never populated.
     """
-    return _sweep(compiled, reach, stage_scores, terminal_score, None, want_policy,
-                  _nan_table(compiled), None)
+    T = _terminal(compiled, reach, terminal_score)
+    choices = (np.full((compiled.sys.horizon + 1, compiled.grid.n_nodes, 1), -1,
+                       dtype=np.int32) if want_policy else None)
+    _sweep(compiled, reach, T, stage_scores, None, None, choices)
+    return _tables(compiled, T), None if choices is None else choices[..., 0]
 
 
 def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
@@ -670,59 +592,69 @@ def sweep_policy(compiled: CompiledSystem, reach: ReachableSets,
                  terminal_score: np.ndarray):
     """Backward evaluation sweep of the feedback policy ``choices`` (as
     ``sweep_scores`` returns them)."""
-    return _sweep(compiled, reach, stage_scores, terminal_score, choices, False,
-                  _nan_table(compiled), None)[0]
+    T = _terminal(compiled, reach, terminal_score)
+    _sweep(compiled, reach, T, stage_scores, None,
+           np.ascontiguousarray(choices, dtype=np.int32), None)
+    return _tables(compiled, T)
 
 
-def _nan_table(compiled: CompiledSystem) -> np.ndarray:
-    return np.full((compiled.sys.horizon + 2, compiled.grid.n_nodes), np.nan)
+def _terminal(compiled: CompiledSystem, reach: ReachableSets,
+              terminal_score: np.ndarray) -> np.ndarray:
+    """A one-lane NaN table holding ``terminal_score`` on the terminal set."""
+    T = np.full((compiled.sys.horizon + 2, compiled.grid.n_nodes, 1), np.nan)
+    rows = reach.selectors[-1]
+    T[-1, rows, 0] = terminal_score[rows]
+    return T
+
+
+def _tables(compiled: CompiledSystem, T: np.ndarray) -> list[ValueTable]:
+    """The value tables of a one-lane table ``T``, as views of it."""
+    return [ValueTable(n, compiled.grid, T[n, :, 0], compiled.interp) for n in range(len(T))]
 
 
 # -- public solver entry points ---------------------------------------------
+
+
+def solve_batch(compiled: CompiledSystem, reach: ReachableSets, thresholds) -> np.ndarray:
+    """The tables V_0..V_{N+1} of K thresholds, ``thresholds`` (K, m), on
+    the reachable sets ``reach``, solved in one sweep: an (N+2, n_nodes, K)
+    array whose lane k is ``backward_recursion`` of threshold k bit for
+    bit, NaN off the reachable sets."""
+    m = compiled.sys.threshold_dim
+    cs = np.atleast_2d(np.asarray(thresholds, dtype=float))
+    if not len(cs):
+        raise ValueError("a batch needs at least one threshold")
+    cs = np.stack([as_threshold(c, m) for c in cs])
+    T = np.full((compiled.sys.horizon + 2, compiled.grid.n_nodes, len(cs)), np.nan)
+    rows = reach.selectors[-1]
+    T[-1, rows] = _slack(compiled.theta_vals[rows][:, None, :], cs)
+    _sweep(compiled, reach, T, None, np.ascontiguousarray(cs.T), None, None)
+    return T
+
+
+def batch_values(xi, compiled: CompiledSystem, tables: np.ndarray) -> np.ndarray:
+    """W(xi, c) of every lane of ``tables``, as ``solve_batch`` returns
+    them: per lane, bit for bit ``robust_value`` of its own tables, with one
+    ``locate`` call for all lanes."""
+    pts = np.atleast_2d(np.asarray(xi, dtype=float))
+    idx, wts = compiled.grid.locate(pts, mode=compiled.interp)
+    out = np.empty(tables.shape[2])
+    for k in range(len(out)):
+        # the float operations of ``mesh.interpolate``
+        corners = tables[0, :, k][idx]
+        if np.isnan(corners).any():
+            raise UnpopulatedNodeError(
+                f"query at {xi!r} touches unpopulated nodes of stage-0 table")
+        out[k] = (corners * wts).sum(axis=-1)[0]
+    return out
 
 
 def backward_recursion(compiled: CompiledSystem, reach: ReachableSets,
                        c) -> list[ValueTable]:
     """Value tables V_0..V_{N+1} for threshold c on the reachable sets
     ``reach``."""
-    stage_scores, terminal = compiled.slack_scores(
-        as_threshold(c, compiled.sys.threshold_dim))
-    return sweep_scores(compiled, reach, stage_scores, terminal, want_policy=False)[0]
-
-
-class ThresholdSequence:
-    """The tables of ``backward_recursion`` for a run of thresholds, bit
-    for bit, each solved in place in the previous solve's table.
-
-    One (N+2, n_nodes) table serves every solve.  A solve on the reachable
-    sets of the solve before it, which completed, sweeps only the rows of
-    the threshold window (module docstring); any other solve, the first
-    one and any after a solve that raised included, sweeps in full.  The
-    tables returned are views of the shared table, valid until the next
-    solve.  One sequence serves one thread at a time.
-    """
-
-    def __init__(self, compiled: CompiledSystem):
-        self.compiled = compiled
-        self._T = _nan_table(compiled)
-        self._last = None  # (reach, threshold) of the tables in _T
-
-    def tables(self, reach: ReachableSets, c) -> list[ValueTable]:
-        """Value tables V_0..V_{N+1} for threshold c on the reachable sets
-        ``reach``, as views of the shared table."""
-        compiled = self.compiled
-        c = as_threshold(c, compiled.sys.threshold_dim).copy()
-        stage_scores, terminal = compiled.slack_scores(c)
-        last, self._last = self._last, None
-        if last is not None and last[0] is reach:
-            moved = compiled._moved_rows(stage_scores, last[1])
-        else:
-            moved = None
-            self._T.fill(np.nan)
-        tables = _sweep(compiled, reach, stage_scores, terminal, None, False,
-                        self._T, moved)[0]
-        self._last = reach, c
-        return tables
+    return _tables(compiled, solve_batch(
+        compiled, reach, as_threshold(c, compiled.sys.threshold_dim)[None]))
 
 
 def robust_value(xi, tables: list[ValueTable]) -> float:

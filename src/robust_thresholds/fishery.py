@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IntervalControlSpace, SystemSpec, as_threshold
+from .model import IntervalControlSpace, SystemSpec
 
 __all__ = [
     "FisheryParams",
     "robust_boundary",
-    "infinite_horizon_membership",
-    "infinite_horizon_membership_robust",
     "build_fishery_system",
 ]
 
@@ -121,28 +119,6 @@ def robust_boundary(params: FisheryParams, xi: float, x: float,
                     for w in scen[i + 1:])]
     return max(min(float(params.surplus(s, w)) for w in scen)
                for s in candidates if lo <= s <= x_max)
-
-
-def infinite_horizon_membership(params: FisheryParams, xi: float, w, c) -> bool:
-    """Closed-form single-scenario threshold-set test at infinite horizon:
-    stock floor at most min(xi, K_w) and harvest floor at most H(x) of
-    scenario w alone, the best surplus over stocks in [x, min(xi, K_w)].
-    """
-    return _below_boundary(params, xi, c, (w,))
-
-
-def infinite_horizon_membership_robust(params: FisheryParams, xi: float, c) -> bool:
-    """Closed-form robust threshold-set test at infinite horizon: stock
-    floor at most min(xi, K_w over all scenarios) and harvest floor at most
-    H(x), the best worst-case surplus over stocks in [x, x_max].
-    """
-    return _below_boundary(params, xi, c, params.scenarios)
-
-
-def _below_boundary(params: FisheryParams, xi: float, c, scenarios: tuple) -> bool:
-    cv = as_threshold(c, 2)
-    h = robust_boundary(params, xi, float(cv[0]), scenarios)
-    return not np.isnan(h) and float(cv[1]) <= h
 
 
 class _FisheryDynamics:

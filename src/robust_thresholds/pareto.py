@@ -39,6 +39,10 @@ __all__ = [
 
 # chain postconditions and masked-step checks hold within this of exact
 DIAG_TOL = 1e-9
+# thresholds per weak-front sweep: each cell's inputs are read once per
+# batch, but the stage window is the hull over the batch's lanes, and on the
+# default fishery front four lanes cost least
+BATCH = 4
 
 
 class InfeasibleThresholdError(ValueError):
@@ -97,11 +101,12 @@ def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
     compared against ``front_tol``; residuals beyond it and out-of-order
     sweep coordinates become diagnostics, not errors.
 
-    The mesh is solved in contiguous chunks, each through its own
-    ``dp.ThresholdSequence``: first its points, then the projections of
-    those it projects, both in mesh order, which is sweep order.  With
-    ``jobs`` > 1, ``jobs`` threads share 4 * ``jobs`` chunks.  Every solve
-    equals its own ``backward_recursion`` bit for bit, so the result does
+    The mesh is solved in contiguous chunks, each in batches of ``BATCH``
+    thresholds per ``dp.solve_batch`` sweep: first its points, then the
+    projections of those it projects, both in mesh order, which is sweep
+    order.  With ``jobs`` > 1, ``jobs`` threads share 4 * ``jobs`` chunks;
+    the compiled kernel runs without the interpreter lock.  Every W equals
+    that of its own ``backward_recursion`` bit for bit, so the result does
     not depend on ``jobs``.
     """
     _require_compiled_from(compiled, sys, grid, controls)
@@ -110,21 +115,26 @@ def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
         raise ValueError("empty threshold mesh")
     tol = front_tol if front_tol is not None else default_front_tol(grid, compiled.interp)
 
+    def solve(thresholds: np.ndarray) -> np.ndarray:
+        values = np.empty(len(thresholds))
+        for i in range(0, len(thresholds), BATCH):
+            batch = thresholds[i:i + BATCH]
+            # a short batch repeats its last threshold: the kernel runs a
+            # full batch as one vector, a short one lane by lane
+            full = np.concatenate([batch, batch[-1:].repeat(BATCH - len(batch), axis=0)])
+            values[i:i + len(batch)] = dp.batch_values(
+                xi, compiled, dp.solve_batch(compiled, reach, full))[:len(batch)]
+        return values
+
     def solve_chunk(chunk: np.ndarray):
-        seq = dp.ThresholdSequence(compiled)
-
-        def solve(c):
-            return dp.robust_value(xi, seq.tables(reach, c))
-
-        values = np.asarray([solve(c) for c in chunk], dtype=float)
+        values = solve(chunk)
         valid = values < 0
-        return values, np.asarray([solve(p) for p in chunk[valid] + values[valid][:, None]],
-                                  dtype=float)
+        return values, solve(chunk[valid] + values[valid][:, None])
 
     if jobs > 1:
-        # points of one sweep cost alike, but the sweeps do not (the window
-        # saves far more along some axes), so one chunk per thread would
-        # leave threads idle; each extra chunk costs one full sweep
+        # points of one sweep cost alike, but the sweeps do not (the row
+        # window saves more along some axes), so one chunk per thread would
+        # leave threads idle; each extra chunk may leave one short batch
         with ThreadPoolExecutor(max_workers=min(jobs, len(points))) as ex:
             parts = list(ex.map(solve_chunk, np.array_split(points, 4 * jobs)))
     else:

@@ -48,3 +48,29 @@ def test_counts_of_a_module_with_known_lines(tmp_path, capsys):
     assert rows == [["empty.py", "0", "code", "lines", "0", "settable", "values"],
                     ["mod.py", "11", "code", "lines", "5", "settable", "values"],
                     ["total", "11", "code", "lines", "5", "settable", "values"]]
+
+
+C_SOURCE = r"""/* a block comment,
+   over two lines */
+#include <stdint.h>
+
+// a line comment
+static int f(int a)  /* a comment after code */
+{
+    const char *s = "/* not a comment */";
+    return a + 1;  // another
+}
+"""
+
+
+def test_c_lines_exclude_comments_and_blank_lines(tmp_path, capsys):
+    # the include, the signature, both braces, the string line and the return
+    assert code_size.c_code_lines(C_SOURCE) == 6
+    assert code_size.c_code_lines("/* only\n a comment */\n\n") == 0
+    (tmp_path / "mod.py").write_text(MODULE)
+    (tmp_path / "kernel.c").write_text(C_SOURCE)
+    assert code_size.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["mod.py", "11", "code", "lines", "5", "settable", "values"],
+                    ["kernel.c", "6", "code", "lines"],
+                    ["total", "17", "code", "lines", "5", "settable", "values"]]

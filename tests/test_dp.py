@@ -1,6 +1,11 @@
+import ctypes
+import os
+import platform
+import subprocess
 import sys as sys_module
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from robust_thresholds import dp, oracle, pareto
 from robust_thresholds.fishery import FisheryParams, build_fishery_system
 from robust_thresholds.mesh import UnpopulatedNodeError
 
+from kernel_reference import control_max, slack, stage_kernel
 from tabular_tools import (full_grid_sets, plane_problem, product_problem,
                            random_instance, solve_w, stage_slack, terminal_slack)
 
@@ -227,11 +233,15 @@ class TestBackwardRecursion:
 
 def _reference_stage(V, ci, cw, scores):
     """Plain fancy-indexed gathers summed corner by corner, then the
-    scenario minimum as a reduction and the minimum with the scores."""
+    minimum over scenarios in scenario order and with the scores, each an
+    ``np.minimum``."""
     acc = V[ci[0]] * cw[0]
     for j in range(1, len(ci)):
         acc += V[ci[j]] * cw[j]
-    return np.minimum(acc.min(axis=-1), scores)
+    q = acc[..., 0]
+    for s in range(1, acc.shape[-1]):
+        q = np.minimum(q, acc[..., s])
+    return np.minimum(q, scores)
 
 
 def _rows(reach, n, n_nodes):
@@ -258,8 +268,7 @@ def _reference_sweep(compiled, reach, stage_scores, terminal_score):
         q = _reference_stage(V, sa.corner_idx[:, rows], cw[:, rows],
                              stage_scores[n][rows])
         V = np.full(n_nodes, np.nan)
-        V[rows] = q.max(axis=-1)
-        choices[n, rows] = q.argmax(axis=-1)
+        V[rows], choices[n, rows] = control_max(q)
         values.append(V)
     return values[::-1], choices
 
@@ -285,7 +294,8 @@ def _reference_policy_sweep(compiled, reach, choices, stage_scores, terminal_sco
 
 class TestStageKernelPinned:
     """The sweeps equal a plain reference recursion bit for bit: same float
-    operations, same order, only the reductions are taken slice-wise."""
+    operations, same order, with the minima and the control maximum of the
+    kernel's stated rules."""
 
     @staticmethod
     def assert_pinned(compiled, reach, stage_scores, terminal):
@@ -524,6 +534,19 @@ def _zero_weight_corner_system():
     return compiled, rt.build_reachable_sets(0.0, grid, sys, controls, compiled=compiled)
 
 
+def _rows_swept(monkeypatch) -> list:
+    """The rows of each later ``dp._stage_kernel`` call, appended in order."""
+    swept = []
+    kernel = dp._stage_kernel
+
+    def counted(stage, n):
+        swept.append(stage.r1 - stage.r0)
+        return kernel(stage, n)
+
+    monkeypatch.setattr(dp, "_stage_kernel", counted)
+    return swept
+
+
 class TestRowWindow:
     """A stage that repeats stage n+1's operator runs the kernel only on
     the hull of the rows whose support holds a node where V_{n+1} differs
@@ -573,14 +596,7 @@ class TestRowWindow:
     def test_default_fishery_sweeps_a_sub_slice(self, default_fishery, monkeypatch):
         sys, compiled, reach = default_fishery
         scores, terminal = compiled.slack_scores(np.asarray([60.0, 60.0]))
-        swept = []
-        kernel = dp._stage_kernel
-
-        def counted(V, base, *args):
-            swept.append(len(base))
-            return kernel(V, base, *args)
-
-        monkeypatch.setattr(dp, "_stage_kernel", counted)
+        swept = _rows_swept(monkeypatch)
         self.assert_bitwise_reference(compiled, reach, scores, terminal)
         # one call per stage from N down, none of them empty
         reachable = reach.masks[::-1][1:len(swept) + 1].sum(axis=1)
@@ -591,14 +607,7 @@ class TestRowWindow:
         # an all-true set built by hand counts as closed: on the coarse
         # fishery and on a banded tabular system its sweep equals the
         # reference bit for bit, on fewer kernel rows than a full loop
-        swept = []
-        kernel = dp._stage_kernel
-
-        def counted(V, base, *args):
-            swept.append(len(base))
-            return kernel(V, base, *args)
-
-        monkeypatch.setattr(dp, "_stage_kernel", counted)
+        swept = _rows_swept(monkeypatch)
         fishery = tuple(coarse_fishery[i] for i in (0, 1, 3))
         banded = _banded_tabular(np.random.default_rng(0), "multilinear")[:3]
         for (sys, grid, compiled), c in ((fishery, [30.0, 7.0]), (banded, [0.0, 0.0])):
@@ -634,22 +643,34 @@ class TestRowWindow:
 
 
 class TestThresholdSequence:
-    """``dp.ThresholdSequence`` solves a run of thresholds in place in one
-    table, sweeping only the rows of the threshold window.  Every solve
-    equals its own ``backward_recursion`` byte for byte, signs of zero and
-    NaN patterns included."""
+    """``dp.solve_batch`` solves a run of thresholds K lanes per sweep, as
+    ``weak_front`` solves its ray mesh.  Every lane equals its own
+    ``backward_recursion`` byte for byte, signs of zero and NaN patterns
+    included, and ``dp.batch_values`` reads each lane's W as
+    ``robust_value`` does."""
 
     @staticmethod
-    def assert_sequence(seq, runs):
-        """Solve each (reach, thresholds) run of ``runs`` in order through
-        ``seq``; each solve against an independent ``backward_recursion``."""
+    def assert_sequence(compiled, runs, xi=None, sizes=(1, 2, 3, 4, 5, 7, 9)):
+        """Solve each (reach, thresholds) run of ``runs`` in consecutive
+        batches of every size in ``sizes``; each lane against an
+        independent ``backward_recursion``, and its W at ``xi`` if given."""
         for reach, thresholds in runs:
-            for c in thresholds:
-                tables = seq.tables(reach, c)
-                reference = rt.backward_recursion(seq.compiled, reach, c)
-                assert len(tables) == len(reference)
-                for t, r in zip(tables, reference):
-                    assert _same_bytes(t.values, r.values), (c, t.stage)
+            thresholds = np.asarray(thresholds, dtype=float)
+            reference = [rt.backward_recursion(compiled, reach, c) for c in thresholds]
+            for size in sizes:
+                for i in range(0, len(thresholds), size):
+                    T = dp.solve_batch(compiled, reach, thresholds[i:i + size])
+                    assert T.shape == (compiled.sys.horizon + 2, compiled.grid.n_nodes,
+                                       len(thresholds[i:i + size]))
+                    for k, tables in enumerate(reference[i:i + size]):
+                        assert len(tables) == len(T)
+                        for n, t in enumerate(tables):
+                            assert _same_bytes(T[n, :, k].copy(), t.values), (
+                                thresholds[i + k], n)
+                    if xi is not None:
+                        got = dp.batch_values(xi, compiled, T)
+                        want = [rt.robust_value(xi, t) for t in reference[i:i + size]]
+                        assert _same_bytes(got, np.asarray(want))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["nearest", "multilinear"]),
@@ -657,10 +678,10 @@ class TestThresholdSequence:
                              min_size=2, max_size=2), min_size=2, max_size=6))
     def test_banded_tabular_systems(self, seed, interp, thresholds):
         sys, grid, compiled, reach = _banded_tabular(np.random.default_rng(seed), interp)
-        # one sequence on the reachable sets, then on sets marking every node
-        self.assert_sequence(dp.ThresholdSequence(compiled),
-                             [(reach, thresholds), (full_grid_sets(grid, sys.horizon),
-                                                    thresholds)])
+        # on the reachable sets, then on sets marking every node
+        self.assert_sequence(compiled, [(reach, thresholds),
+                                        (full_grid_sets(grid, sys.horizon), thresholds)],
+                             sizes=(len(thresholds), 4))
 
     def test_coarse_fishery_along_both_axis_sweeps(self, coarse_fishery):
         sys, grid, controls, compiled, reach = coarse_fishery
@@ -669,34 +690,28 @@ class TestThresholdSequence:
             values = np.asarray([rt.robust_value(60.0, rt.backward_recursion(
                 compiled, sets, c)) for c in mesh.points])
             assert np.all(values < 0)
-            seq = dp.ThresholdSequence(compiled)
             # each axis sweep, then the revalidation points of both, in order
-            self.assert_sequence(seq, [(sets, mesh.points[list(members)])
-                                       for _, members in mesh.sweeps])
-            self.assert_sequence(seq, [(sets, mesh.points + values[:, None])])
+            self.assert_sequence(compiled, [(sets, mesh.points[list(members)])
+                                            for _, members in mesh.sweeps], xi=60.0,
+                                 sizes=(4, 9))
+            self.assert_sequence(compiled, [(sets, mesh.points + values[:, None])],
+                                 xi=60.0, sizes=(4,))
 
     def test_sweeps_fewer_rows_than_independent_solves(self, coarse_fishery, monkeypatch):
+        # a batch makes one kernel call per swept stage, whatever its K, so
+        # it makes fewer calls than its lanes solved one by one
         sys, grid, controls, compiled, reach = coarse_fishery
         thresholds = rt.threshold_ray_mesh(2.5, 24, [130.0, 60.0]).points
-        swept = []
-        kernel = dp._stage_kernel
-
-        def counted(V, base, *args):
-            swept.append(len(base))
-            return kernel(V, base, *args)
-
-        monkeypatch.setattr(dp, "_stage_kernel", counted)
+        calls = TestFixedPointExit.kernel_calls(monkeypatch)
         for c in thresholds:
             rt.backward_recursion(compiled, reach, c)
-        independent, swept[:] = sum(swept), []
-        seq = dp.ThresholdSequence(compiled)
-        for c in thresholds:
-            seq.tables(reach, c)
-        assert 0 < sum(swept) < independent
-        # the same threshold again sweeps no row
-        swept.clear()
-        seq.tables(reach, thresholds[-1])
-        assert swept == []
+        independent, calls[:] = len(calls), []
+        batched = 0
+        for i in range(0, len(thresholds), 4):
+            dp.solve_batch(compiled, reach, thresholds[i:i + 4])
+            assert 0 < len(calls) <= sys.horizon + 1
+            batched, calls[:] = batched + len(calls), []
+        assert 0 < batched < independent
 
     def test_the_pinned_zero_weight_corner_system(self):
         # stage 1 of node 0 reads V(1) only through a weight-0 corner, so a
@@ -704,14 +719,13 @@ class TestThresholdSequence:
         compiled, reach = _zero_weight_corner_system()
         thresholds = [[0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [2.0, 0.0], [0.0, 0.0],
                       [-1.0, 1.0], [1.0, 1.0], [-0.0, 0.0], [0.0, 0.0]]
-        self.assert_sequence(dp.ThresholdSequence(compiled), [(reach, thresholds)])
+        self.assert_sequence(compiled, [(reach, thresholds)], xi=0.0)
 
     def test_a_solve_after_one_that_raised_is_exact(self):
         # every node steps to the next one; stage slacks min(10 - c1, 2 - c2)
         # and terminal slacks min(5 - c1, 100 - c2): c2 moves the stage
-        # scores only.  On sets that are not closed the solve for (0, 1)
-        # writes stages 3 and 4 and raises at stage 1; the next solve on
-        # closed sets must not take those rows for the tables of (0, 0).
+        # scores only.  On sets that are not closed a batch raises at stage
+        # 1; it leaves nothing behind that a later batch could read.
         n_states, horizon = 5, 3
         transitions = np.broadcast_to(
             ((np.arange(n_states) + 1) % n_states)[:, None, None], (n_states, 2, 2))
@@ -723,11 +737,11 @@ class TestThresholdSequence:
         masks[:horizon, 1:] = False
         not_closed = rt.ReachableSets(grid=grid, masks=masks)
         full = full_grid_sets(grid, horizon)
-        seq = dp.ThresholdSequence(compiled)
-        self.assert_sequence(seq, [(full, [[0.0, 0.0]])])
-        with pytest.raises(UnpopulatedNodeError):
-            seq.tables(not_closed, [0.0, 1.0])
-        self.assert_sequence(seq, [(full, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])])
+        self.assert_sequence(compiled, [(full, [[0.0, 0.0]])])
+        for thresholds in ([[0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 2.0]]):
+            with pytest.raises(UnpopulatedNodeError):
+                dp.solve_batch(compiled, not_closed, thresholds)
+        self.assert_sequence(compiled, [(full, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])])
 
 
 class TestProductSystem:
@@ -751,8 +765,10 @@ class TestProductSystem:
 
 
 class TestKernelScratch:
-    """The stage kernel's scratch is kept per thread and compiled system;
-    reusing or growing it never changes a table."""
+    """The compiled kernel keeps no state between calls: a sweep's results
+    do not depend on the sweeps run before it, on any thread, and threads
+    solving on one compiled system at once, the kernel running without the
+    interpreter lock, get the tables of serial solves."""
 
     @staticmethod
     def fishery():
@@ -764,27 +780,28 @@ class TestKernelScratch:
         return sys, grid, controls, compiled, reach
 
     def test_policy_sweep_then_w_sweep_grows_the_buffer(self):
+        # a one-control policy sweep, then a full W sweep and a batch, on a
+        # fresh compiled system, against the same sweeps on another one
         sys, grid, controls, ref, reach = self.fishery()
         scores, terminal = ref.slack_scores(np.asarray([10.0, 5.0]))
         want, policy = dp.sweep_scores(ref, reach, scores, terminal)
         want_replay = dp.sweep_policy(ref, reach, policy, scores, terminal)
         compiled = rt.compile_system(sys, grid, controls)
         replay = dp.sweep_policy(compiled, reach, policy, scores, terminal)
-        small = compiled._local.buf
         got, got_policy = dp.sweep_scores(compiled, reach, scores, terminal)
-        grown = compiled._local.buf
-        assert len(grown) > len(small)
+        batch = dp.solve_batch(compiled, reach, [[10.0, 5.0], [0.0, 0.0]])
         again = dp.sweep_policy(compiled, reach, policy, scores, terminal)
-        assert compiled._local.buf is grown
-        assert np.array_equal(got_policy, policy)
+        assert _same_bytes(got_policy, policy)
         for tables, ref_tables in ((got, want), (replay, want_replay),
                                    (again, want_replay)):
             for t, r in zip(tables, ref_tables):
-                assert np.array_equal(t.values, r.values, equal_nan=True)
+                assert _same_bytes(t.values, r.values)
+        for n, t in enumerate(want):
+            assert _same_bytes(batch[n, :, 0].copy(), t.values)
 
     def test_threads_on_one_compiled_system(self):
-        # more threads than cores, switching often: a buffer shared between
-        # threads would mix their stages
+        # more threads than cores, switching often: state kept between
+        # kernel calls would mix the threads' stages
         sys, grid, controls, compiled, reach = self.fishery()
         thresholds = [np.asarray([a, b]) for a in (0.0, 10.0, 25.0, 40.0)
                       for b in (1.0, 6.0)]
@@ -798,7 +815,7 @@ class TestKernelScratch:
             barrier.wait()
             out = [dp.sweep_scores(compiled, reach, *compiled.slack_scores(c))
                    for c in cs]
-            return out, compiled._local.buf
+            return out, dp.solve_batch(compiled, reach, cs)
 
         interval = sys_module.getswitchinterval()
         sys_module.setswitchinterval(1e-5)
@@ -809,14 +826,184 @@ class TestKernelScratch:
                                     timeout=120))
         finally:
             sys_module.setswitchinterval(interval)
-        assert len({id(buf) for _, buf in parts}) == n_threads
-        got = [None] * len(thresholds)
-        for i, (out, _) in enumerate(parts):
+        got, batches = [None] * len(thresholds), [None] * len(thresholds)
+        for i, (out, batch) in enumerate(parts):
             got[i::n_threads] = out
-        for (tables, policy), (ref_tables, ref_policy) in zip(got, want):
-            assert np.array_equal(policy, ref_policy)
-            for t, r in zip(tables, ref_tables):
-                assert np.array_equal(t.values, r.values, equal_nan=True)
+            batches[i::n_threads] = [batch[:, :, k] for k in range(batch.shape[2])]
+        for (tables, policy), (ref_tables, ref_policy), lane in zip(got, want, batches):
+            assert _same_bytes(policy, ref_policy)
+            for n, (t, r) in enumerate(zip(tables, ref_tables)):
+                assert _same_bytes(t.values, r.values)
+                assert _same_bytes(lane[n].copy(), r.values)
+
+
+class TestCompiledKernel:
+    """``dp._stage_kernel`` equals the numpy reference of
+    ``kernel_reference`` byte for byte on random stages: lane counts that
+    fill the four-lane vector and tail counts that run lane by lane,
+    nearest and multilinear corners, signed zeros and control ties, shared
+    scores and per-lane slacks, policy rows, slices and index arrays of
+    rows.  A touched NaN node raises ``UnpopulatedNodeError``."""
+
+    VALUES = (-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0)
+
+    @staticmethod
+    def run_kernel(V, base, cw, offsets, scores, g, c, fixed, rows, want_choices):
+        """(values, choices) the kernel writes into arrays prefilled with 7.0
+        and -1; the arrays passed stay referenced until it returns."""
+        n_nodes, K = V.shape
+        out = np.full((n_nodes, K), 7.0)
+        choices = np.full((n_nodes, K), -1, dtype=np.int32) if want_choices else None
+        keep = [a for a in (V, base, cw, offsets, scores, g, c, fixed, rows, out, choices)
+                if a is not None]
+        stage = dp._Stage(
+            V=V.ctypes.data, out=out.ctypes.data, base=base.ctypes.data,
+            offsets=offsets.ctypes.data, n_u=base.shape[1], n_w=base.shape[2],
+            C=len(offsets), K=K, m=g.shape[-1])
+        for name, a in (("choices", choices), ("cw", cw), ("scores", scores), ("g", g),
+                        ("c", c), ("fixed", fixed)):
+            if a is not None:
+                setattr(stage, name, a.ctypes.data)
+        if isinstance(rows, slice):
+            stage.r0, stage.r1 = rows.start, rows.stop
+        else:
+            stage.rows, stage.r0, stage.r1 = rows.ctypes.data, 0, len(rows)
+        try:
+            dp._stage_kernel(stage, 0)
+        finally:
+            del keep
+        return out, choices
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4, 5, 7, 9]),
+           st.sampled_from(["nearest", "multilinear", "bilinear"]), st.booleans(),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_equals_the_numpy_reference(self, seed, K, interp, shared, policy, sliced, nan):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(2, 5))
+        offsets = {"nearest": [0], "multilinear": [0, 1],
+                   "bilinear": [0, 1, width, width + 1]}[interp]
+        offsets = np.asarray(offsets, dtype=np.intp)
+        n_nodes = int(rng.integers(offsets[-1] + 1, offsets[-1] + 12))
+        n_u, n_w, m = (int(rng.integers(1, 5)), int(rng.integers(1, 4)),
+                       int(rng.integers(1, 4)))
+
+        def signed(*shape):
+            return rng.choice(self.VALUES, size=shape)
+
+        V = signed(n_nodes, K)
+        if nan:
+            V[rng.integers(n_nodes), rng.integers(K)] = np.nan
+        base = rng.integers(0, n_nodes - offsets[-1], size=(n_nodes, n_u, n_w)).astype(np.intp)
+        cw = (rng.choice([0.0, 0.25, 0.5, 1.0], size=(n_nodes, n_u, n_w, len(offsets)))
+              if len(offsets) > 1 else None)
+        g, c = signed(n_nodes, n_u, m), np.ascontiguousarray(signed(m, K))
+        scores = signed(n_nodes, n_u) if shared else None
+        fixed = rng.integers(0, n_u, size=n_nodes).astype(np.int32) if policy else None
+        r0 = int(rng.integers(0, n_nodes))
+        r1 = int(rng.integers(r0, n_nodes + 1))
+        rows = (slice(r0, r1) if sliced else np.sort(rng.choice(
+            n_nodes, size=int(rng.integers(0, n_nodes + 1)), replace=False)).astype(np.intp))
+        idx = np.arange(n_nodes)[rows]
+
+        want = np.full((n_nodes, K), 7.0)
+        want_choices = np.full((n_nodes, K), -1, dtype=np.int32)
+        cells = (idx,) if fixed is None else (idx[:, None], fixed[idx][:, None])
+        for k in range(K):
+            lane_scores = scores[cells] if shared else slack(g[cells], c[:, k])
+            q = stage_kernel(V[:, k].copy(), base[cells], None if cw is None else cw[cells],
+                             offsets, lane_scores)
+            want[idx, k], arg = control_max(q)
+            want_choices[idx, k] = arg if fixed is None else fixed[idx]
+        if np.isnan(want).any():
+            with pytest.raises(UnpopulatedNodeError, match="unpopulated"):
+                self.run_kernel(V, base, cw, offsets, scores, g, c, fixed, rows, True)
+            return
+        got, got_choices = self.run_kernel(V, base, cw, offsets, scores, g, c, fixed, rows,
+                                           True)
+        assert _same_bytes(got, want)
+        assert _same_bytes(got_choices, want_choices)
+
+    def test_a_policy_gap_raises(self):
+        V = np.zeros((3, 1))
+        base = np.zeros((3, 2, 1), dtype=np.intp)
+        fixed = np.asarray([0, -1, 2], dtype=np.int32)
+        args = (V, base, None, np.zeros(1, dtype=np.intp), np.zeros((3, 2)),
+                np.zeros((3, 2, 1)), np.zeros((1, 1)))
+        for rows in (slice(1, 2), slice(2, 3), np.asarray([0, 2], dtype=np.intp)):
+            with pytest.raises(UnpopulatedNodeError, match="policy gap"):
+                self.run_kernel(*args, fixed, rows, False)
+        got, _ = self.run_kernel(*args, fixed, slice(0, 1), False)
+        assert got.tolist() == [[0.0], [7.0], [7.0]]
+
+
+class TestKernelBuild:
+    """The kernel is compiled on first import into a cache keyed by its
+    source, compiler command and machine, and loaded from there after."""
+
+    def test_a_clean_cache_builds_the_library(self, tmp_path):
+        cache = tmp_path / "cache"
+        path = dp._build_kernel(cache)
+        assert path.parent == cache and path.suffix == ".so"
+        assert os.listdir(cache) == [path.name]  # no temporary file is left
+        fn = dp._load_kernel(cache)
+        assert fn.restype is ctypes.c_int
+
+    def test_a_second_import_reuses_the_cached_library(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        path = dp._build_kernel(cache)
+        mtime = path.stat().st_mtime_ns
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran on a cache hit")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert dp._build_kernel(cache) == path
+        dp._load_kernel(cache)
+        assert path.stat().st_mtime_ns == mtime
+        # the package's own cache is warm here: importing it in a fresh
+        # interpreter loads the library without importing subprocess
+        monkeypatch.undo()
+        src = str(Path(dp.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys_module.executable, "-c",
+             "import sys, robust_thresholds; print('subprocess' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("compiler", ["no-such-compiler-for-the-kernel", "false"])
+    def test_a_failing_or_missing_compiler_raises_import_error(self, tmp_path,
+                                                               monkeypatch, compiler):
+        # a missing program, and one that runs and fails
+        monkeypatch.setattr(dp, "CC", compiler)
+        cache = tmp_path / "cache"
+        with pytest.raises(ImportError, match=f"^building the stage kernel failed: "
+                                              f"{compiler} -O3 "):
+            dp._build_kernel(cache)
+        assert os.listdir(cache) == []
+
+    def test_the_flags_keep_ieee_semantics(self):
+        assert "-ffp-contract=off" in dp.CFLAGS
+        assert not {"-ffast-math", "-Ofast", "-march=native"} & set(dp.CFLAGS)
+
+    def test_target_clones_only_on_x86_64(self):
+        # without its #include lines: the system headers of another
+        # machine are not installed here
+        source = "".join(line for line in dp._SOURCE.read_text().splitlines(True)
+                         if not line.startswith("#include"))
+
+        def preprocessed(*flags):
+            proc = subprocess.run([dp.CC, "-E", "-P", *flags, "-x", "c", "-"], input=source,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        assert "target_clones" not in preprocessed("-U__x86_64__")
+        assert "__builtin_cpu_supports" not in preprocessed("-U__x86_64__")
+        if platform.machine() == "x86_64":
+            assert "target_clones" in preprocessed()
 
 
 class TestThresholdTranslation:

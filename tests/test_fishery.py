@@ -3,6 +3,33 @@ import pytest
 
 import robust_thresholds as rt
 from robust_thresholds import fishery as fm
+from robust_thresholds.model import as_threshold
+
+
+# closed-form threshold sets of the fishery at infinite horizon, against
+# which the tests below check ``fishery.robust_boundary``
+
+
+def infinite_horizon_membership(params: fm.FisheryParams, xi: float, w, c) -> bool:
+    """Closed-form single-scenario threshold-set test at infinite horizon:
+    stock floor at most min(xi, K_w) and harvest floor at most H(x) of
+    scenario w alone, the best surplus over stocks in [x, min(xi, K_w)].
+    """
+    return _below_boundary(params, xi, c, (w,))
+
+
+def infinite_horizon_membership_robust(params: fm.FisheryParams, xi: float, c) -> bool:
+    """Closed-form robust threshold-set test at infinite horizon: stock
+    floor at most min(xi, K_w over all scenarios) and harvest floor at most
+    H(x), the best worst-case surplus over stocks in [x, x_max].
+    """
+    return _below_boundary(params, xi, c, params.scenarios)
+
+
+def _below_boundary(params: fm.FisheryParams, xi: float, c, scenarios: tuple) -> bool:
+    cv = as_threshold(c, 2)
+    h = fm.robust_boundary(params, xi, float(cv[0]), scenarios)
+    return not np.isnan(h) and float(cv[1]) <= h
 
 
 @pytest.fixture(scope="module")
@@ -75,25 +102,25 @@ class TestMaximumSustainableYield:
 class TestClosedFormSets:
     def test_origin_always_inside(self, params):
         for w in ("a", "b"):
-            assert fm.infinite_horizon_membership(params, 10.0, w, [0.0, 0.0])
-        assert fm.infinite_horizon_membership_robust(params, 10.0, [0.0, 0.0])
+            assert infinite_horizon_membership(params, 10.0, w, [0.0, 0.0])
+        assert infinite_horizon_membership_robust(params, 10.0, [0.0, 0.0])
 
     def test_msy_corner_on_boundary(self, params):
         for w in ("a", "b"):
             x_star = params.msy_stock(w)
             peak = float(params.surplus(x_star, w))  # boundary height at the peak
             assert peak == pytest.approx(params.msy_harvest(w), abs=1e-10)
-            assert fm.infinite_horizon_membership(params, 60.0, w, [x_star, peak])
-            assert not fm.infinite_horizon_membership(
+            assert infinite_horizon_membership(params, 60.0, w, [x_star, peak])
+            assert not infinite_horizon_membership(
                 params, 60.0, w, [x_star, peak + 1e-6])
 
     def test_capacity_cap(self, params):
-        assert not fm.infinite_horizon_membership(params, 200.0, "b", [51.0, 0.0])
-        assert not fm.infinite_horizon_membership_robust(params, 200.0, [60.0, 0.0])
+        assert not infinite_horizon_membership(params, 200.0, "b", [51.0, 0.0])
+        assert not infinite_horizon_membership_robust(params, 200.0, [60.0, 0.0])
 
     def test_initial_stock_cap(self, params):
-        assert not fm.infinite_horizon_membership(params, 30.0, "a", [31.0, 0.0])
-        assert fm.infinite_horizon_membership(params, 30.0, "a", [29.0, 0.0])
+        assert not infinite_horizon_membership(params, 30.0, "a", [31.0, 0.0])
+        assert infinite_horizon_membership(params, 30.0, "a", [29.0, 0.0])
 
     def test_boundary_curve_membership(self, params):
         # min(sigma_a, sigma_b) rises (as sigma_a) up to the stock s_c where
@@ -110,15 +137,15 @@ class TestClosedFormSets:
             h = min(float(params.surplus(max(x, s_c), w)) for w in ("a", "b"))
             assert h == pytest.approx(np.interp(x, xs, sampled), abs=1e-4)
             assert fm.robust_boundary(params, 60.0, x) == h
-            assert fm.infinite_horizon_membership_robust(params, 60.0, [x, h])
-            assert not fm.infinite_horizon_membership_robust(
+            assert infinite_horizon_membership_robust(params, 60.0, [x, h])
+            assert not infinite_horizon_membership_robust(
                 params, 60.0, [x, h + 1e-9])
 
     def test_sustainable_below_the_rising_curve_peak(self, params):
         # (0, 5) lies under H but above min_w sigma_w(0) = 0
-        assert fm.infinite_horizon_membership_robust(params, 60.0, [0.0, 5.0])
-        assert fm.infinite_horizon_membership(params, 60.0, "b", [0.0, 13.0])
-        assert not fm.infinite_horizon_membership(params, 60.0, "b", [0.0, 13.5])
+        assert infinite_horizon_membership_robust(params, 60.0, [0.0, 5.0])
+        assert infinite_horizon_membership(params, 60.0, "b", [0.0, 13.0])
+        assert not infinite_horizon_membership(params, 60.0, "b", [0.0, 13.5])
 
 
 class TestBuiltSystem:
