@@ -196,6 +196,18 @@ class _StageArrays:
             return None
         return hi.tolist(), lo.tolist()
 
+    @cached_property
+    def kernel_inputs(self) -> tuple:
+        """Addresses of ``offsets``, ``base``, ``corner_w`` (None for one
+        corner, which the kernel never weights) and ``g_vals`` for the
+        compiled kernel, checked and taken once."""
+        n, n_u, n_w = self.base.shape
+        C = len(self.offsets)
+        return (_address(self.offsets, np.intp, (C,)),
+                _address(self.base, np.intp, (n, n_u, n_w)),
+                _address(self.corner_w, np.float64, (n, n_u, n_w, C)) if C > 1 else None,
+                _address(self.g_vals, np.float64, (n, n_u, self.g_vals.shape[2])))
+
     @property
     def corner_idx(self) -> np.ndarray:
         """Corner node indices (C, n_nodes, n_u, n_w), built on each access
@@ -506,8 +518,7 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets, T: np.ndarray,
     K = T.shape[2]
     T_at = _address(T, np.float64, (sys.horizon + 2, n_nodes, K))
     row = n_nodes * K * 8
-    stage = _Stage(offsets=_address(compiled.offsets, np.intp, compiled.offsets.shape),
-                   K=K, C=len(compiled.offsets), n_u=len(compiled.controls),
+    stage = _Stage(K=K, C=len(compiled.offsets), n_u=len(compiled.controls),
                    m=sys.threshold_dim)
     if c is not None:
         stage.c = _address(c, np.float64, (sys.threshold_dim, K))
@@ -515,7 +526,7 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets, T: np.ndarray,
         fixed_at = _address(fixed, np.int32, (sys.horizon + 1, n_nodes))
     if choices is not None:
         choices_at = _address(choices, np.int32, (sys.horizon + 1, n_nodes, K))
-    addresses = {}  # id -> address of each stage array, taken once per sweep
+    addresses = {}  # id -> address of each score and row array, taken once per sweep
 
     def at(a: np.ndarray, dtype, *shape) -> int:
         if id(a) not in addresses:
@@ -528,7 +539,7 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets, T: np.ndarray,
             scores is None or scores[j] is scores[n])
 
     closed = fixed is None and (reach.closed_under is compiled or reach.full)
-    swept = None
+    swept = loaded = None
     for n in range(sys.horizon, -1, -1):
         rows, sa = reach.selectors[n], compiled.stage(n)
         window = rows
@@ -550,15 +561,13 @@ def _sweep(compiled: CompiledSystem, reach: ReachableSets, T: np.ndarray,
         swept = window
         if window is _EMPTY:  # every row copied: nothing for the kernel
             continue
-        n_u, n_w = stage.n_u, sa.base.shape[2]
-        stage.V, stage.out, stage.n_w = T_at + (n + 1) * row, T_at + n * row, n_w
-        stage.base = at(sa.base, np.intp, n_nodes, n_u, n_w)
-        if stage.C > 1:
-            stage.cw = at(sa.corner_w, np.float64, n_nodes, n_u, n_w, stage.C)
-        if scores is None:
-            stage.g = at(sa.g_vals, np.float64, n_nodes, n_u, sys.threshold_dim)
-        else:
-            stage.scores = at(scores[n], np.float64, n_nodes, n_u)
+        if sa is not loaded:
+            stage.offsets, stage.base, stage.cw, stage.g = sa.kernel_inputs
+            stage.n_w = sa.base.shape[2]
+            loaded = sa
+        stage.V, stage.out = T_at + (n + 1) * row, T_at + n * row
+        if scores is not None:
+            stage.scores = at(scores[n], np.float64, n_nodes, stage.n_u)
         if fixed is not None:
             stage.fixed = fixed_at + n * n_nodes * 4
         if choices is not None:
@@ -620,11 +629,15 @@ def solve_batch(compiled: CompiledSystem, reach: ReachableSets, thresholds) -> n
     the reachable sets ``reach``, solved in one sweep: an (N+2, n_nodes, K)
     array whose lane k is ``backward_recursion`` of threshold k bit for
     bit, NaN off the reachable sets."""
-    m = compiled.sys.threshold_dim
     cs = np.atleast_2d(np.asarray(thresholds, dtype=float))
     if not len(cs):
         raise ValueError("a batch needs at least one threshold")
-    cs = np.stack([as_threshold(c, m) for c in cs])
+    return _solve(compiled, reach,
+                  np.stack([as_threshold(c, compiled.sys.threshold_dim) for c in cs]))
+
+
+def _solve(compiled: CompiledSystem, reach: ReachableSets, cs: np.ndarray) -> np.ndarray:
+    """``solve_batch`` of the checked thresholds ``cs`` (K, m)."""
     T = np.full((compiled.sys.horizon + 2, compiled.grid.n_nodes, len(cs)), np.nan)
     rows = reach.selectors[-1]
     T[-1, rows] = _slack(compiled.theta_vals[rows][:, None, :], cs)
@@ -653,7 +666,7 @@ def backward_recursion(compiled: CompiledSystem, reach: ReachableSets,
                        c) -> list[ValueTable]:
     """Value tables V_0..V_{N+1} for threshold c on the reachable sets
     ``reach``."""
-    return _tables(compiled, solve_batch(
+    return _tables(compiled, _solve(
         compiled, reach, as_threshold(c, compiled.sys.threshold_dim)[None]))
 
 
