@@ -54,12 +54,13 @@ the stage score, and the maximum over controls with its argmax.
 
 A sweep runs K thresholds at once in one (N+2, n_nodes, K) table: row n
 holds V_n of every threshold, one lane each, NaN on every node outside
-R_n, so NaN alone marks the unpopulated nodes of a table.  Each cell's
-base and weights, 24 bytes under two corners, are read once for all K
-lanes, and the kernel builds the slack scores min_i (g_i - c_i) of each
-lane itself from the constraint table, in the operation order of
-``_slack``, so no score array is built per threshold.  ``weak_front``
-solves its ray mesh four thresholds per sweep; every single solve
+R_n, so NaN alone marks the unpopulated nodes of a table.  Four lanes run
+as one vector, which reads each cell's base and weights, 24 bytes under
+two corners, once for all four; any other K runs lane by lane.  The
+kernel builds the slack scores min_i (g_i - c_i) of each lane itself from
+the constraint table, in the operation order of ``_slack``, so no score
+array is built per threshold.  ``weak_front`` solves its ray mesh four
+thresholds per sweep; every single solve
 (``backward_recursion``, ``sweep_scores``, ``sweep_policy``) is a sweep
 with K = 1.  A lane's float operations do not depend on the other lanes,
 so each lane equals its own K = 1 solve bit for bit.
