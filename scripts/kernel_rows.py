@@ -3,10 +3,11 @@
     python3 scripts/kernel_rows.py              # every case
     python3 scripts/kernel_rows.py fishery-front tabular-suite
 
-Each case runs once with ``dp._stage_kernel`` wrapped by a counter, and
-prints the kernel calls, the rows swept (a row is one grid node of one
-stage, over every control and scenario), the lane-rows (rows times the
-thresholds a call solves at once) and the wall time:
+Each case runs once with ``dp._stage_kernel`` and ``dp.solve_batch``
+wrapped by counters, and prints the ``solve_batch`` sweeps, the kernel
+calls, the rows swept (a row is one grid node of one stage, over every
+control and scenario), the lane-rows (rows times the thresholds a call
+solves at once) and the wall time:
 
 - ``fishery-front``: one round of the benchmark's ``fishery-front``
   workload, the 10-point subset of the default ray mesh;
@@ -45,15 +46,15 @@ def _cases():
             "tabular-suite": lambda: WORKLOADS["tabular-suite"](SEED, "full")}
 
 
-def count(make) -> tuple[int, int, int, float]:
-    """(kernel calls, rows swept, lane-rows, seconds) of one round of
-    ``make()``."""
+def count(make) -> tuple[int, int, int, int, float]:
+    """(``solve_batch`` sweeps, kernel calls, rows swept, lane-rows,
+    seconds) of one round of ``make()``."""
     from robust_thresholds import dp
 
     workload = make()
     workload.setup()
-    calls = rows = lane_rows = 0
-    kernel = dp._stage_kernel
+    sweeps = calls = rows = lane_rows = 0
+    kernel, solve_batch = dp._stage_kernel, dp.solve_batch
 
     def counted(stage, n):
         nonlocal calls, rows, lane_rows
@@ -62,16 +63,21 @@ def count(make) -> tuple[int, int, int, float]:
         lane_rows += (stage.r1 - stage.r0) * stage.K
         return kernel(stage, n)
 
-    dp._stage_kernel = counted
+    def counted_batch(*args):
+        nonlocal sweeps
+        sweeps += 1
+        return solve_batch(*args)
+
+    dp._stage_kernel, dp.solve_batch = counted, counted_batch
     try:
         t0 = time.perf_counter()
         _, failed = workload.run_round()
         seconds = time.perf_counter() - t0
     finally:
-        dp._stage_kernel = kernel
+        dp._stage_kernel, dp.solve_batch = kernel, solve_batch
     if failed:
         raise SystemExit(f"error: {failed} operations failed")
-    return calls, rows, lane_rows, seconds
+    return sweeps, calls, rows, lane_rows, seconds
 
 
 def main(argv=None) -> int:
@@ -81,10 +87,12 @@ def main(argv=None) -> int:
     unknown = sorted(set(names) - set(cases))
     if unknown:
         raise SystemExit(f"error: unknown case {unknown}; one of {sorted(cases)}")
-    print(f"{'case':<16}{'calls':>10}{'rows':>14}{'lane-rows':>14}{'seconds':>10}")
+    print(f"{'case':<16}{'sweeps':>8}{'calls':>10}{'rows':>14}{'lane-rows':>14}"
+          f"{'seconds':>10}")
     for name in names:
-        calls, rows, lane_rows, seconds = count(cases[name])
-        print(f"{name:<16}{calls:>10,}{rows:>14,}{lane_rows:>14,}{seconds:>10.2f}")
+        sweeps, calls, rows, lane_rows, seconds = count(cases[name])
+        print(f"{name:<16}{sweeps:>8,}{calls:>10,}{rows:>14,}{lane_rows:>14,}"
+              f"{seconds:>10.2f}")
     return 0
 
 

@@ -21,7 +21,8 @@
  * The build disables floating-point contraction, so no product-sum fuses.
  *
  * rt_stage returns 0, 1 when a result is NaN (a touched node was never
- * populated), or 2 when a fixed control lies outside the mesh.
+ * populated), or 2 when a fixed control lies outside the mesh.  rt_lanes
+ * returns the count of lanes the kernel runs as one vector on this host.
  */
 
 #include <stdint.h>
@@ -130,118 +131,174 @@ INLINE int run(const struct stage *s, const intptr_t C, const intptr_t NW,
     return flag;
 }
 
-/* Four lanes as one vector (GCC and Clang vector extensions), with the
-   operations of run lane by lane. */
-typedef double lanes __attribute__((vector_size(4 * sizeof(double))));
-typedef int64_t lane_mask __attribute__((vector_size(4 * sizeof(int64_t))));
+/* L lanes as one vector (GCC and Clang vector extensions), with the
+   operations of run lane by lane, written once and instantiated below for
+   four lanes and for eight.  DEFINE_VECTOR(L, ENTRY) defines lanes##L and
+   mask##L, their helpers, run##L and the entry stage##L, whose storage
+   class is ENTRY.  A splat copies its scalar into every lane: adding the
+   scalar to a zero vector would turn -0.0 into +0.0.
 
-INLINE lanes load4(const double *p)
-{
-    lanes x;
-    memcpy(&x, p, sizeof x);
-    return x;
+   run##L: M > 0 gives slack scores of M components, as stage##L passes it
+   for the weak front; M = 0 gives s->m components, or the shared scores if
+   given.  stage##L compiles the shapes of the fishery (two corners) and of
+   the tabular systems (one corner), both with two scenarios, with constant
+   loop bounds, and so the weak front's slack of two components. */
+#define DEFINE_VECTOR(L, ENTRY)                                                \
+typedef double lanes##L __attribute__((vector_size(L * sizeof(double))));      \
+typedef int64_t mask##L __attribute__((vector_size(L * sizeof(int64_t))));     \
+                                                                               \
+INLINE lanes##L load##L(const double *p)                                       \
+{                                                                              \
+    lanes##L x;                                                                \
+    memcpy(&x, p, sizeof x);                                                   \
+    return x;                                                                  \
+}                                                                              \
+                                                                               \
+INLINE lanes##L splat##L(double x)                                             \
+{                                                                              \
+    lanes##L v = {0};                                                          \
+    for (int k = 0; k < L; k++)                                                \
+        v[k] = x;                                                              \
+    return v;                                                                  \
+}                                                                              \
+                                                                               \
+INLINE lanes##L select##L(mask##L t, lanes##L a, lanes##L b)                   \
+{                                                                              \
+    return (lanes##L)(((mask##L)a & t) | ((mask##L)b & ~t));                   \
+}                                                                              \
+                                                                               \
+INLINE lanes##L minimum##L(lanes##L a, lanes##L b)                             \
+{                                                                              \
+    return select##L((a < b) | (a != a), a, b);                                \
+}                                                                              \
+                                                                               \
+INLINE int run##L(const struct stage *s, const intptr_t C, const intptr_t NW,  \
+                  const intptr_t M)                                            \
+{                                                                              \
+    const double *restrict V = s->V;                                           \
+    double *restrict out = s->out;                                             \
+    int32_t *restrict choices = s->choices;                                    \
+    const intptr_t *restrict base = s->base;                                   \
+    const double *restrict cw = s->cw;                                         \
+    const intptr_t *restrict offsets = s->offsets;                             \
+    const double *restrict scores = M ? 0 : s->scores;                         \
+    const double *restrict g = s->g;                                           \
+    const double *restrict c = s->c;                                           \
+    const int32_t *restrict fixed = s->fixed;                                  \
+    const intptr_t *restrict rows = s->rows;                                   \
+    const intptr_t r0 = s->r0, r1 = s->r1, n_u = s->n_u, m = M ? M : s->m;     \
+    mask##L flag = {0};                                                        \
+    for (intptr_t t = r0; t < r1; t++) {                                       \
+        const intptr_t i = rows ? rows[t] : t;                                 \
+        intptr_t u0 = 0, u1 = n_u;                                             \
+        if (fixed) {                                                           \
+            u0 = fixed[i];                                                     \
+            if (u0 < 0 || u0 >= n_u)                                           \
+                return 2;                                                      \
+            u1 = u0 + 1;                                                       \
+        }                                                                      \
+        lanes##L best = {0};                                                   \
+        mask##L arg = {0};                                                     \
+        for (intptr_t u = u0; u < u1; u++) {                                   \
+            const intptr_t cell = i * n_u + u;                                 \
+            const intptr_t *b = base + cell * NW;                              \
+            lanes##L q = {0};                                                  \
+            for (intptr_t sc = 0; sc < NW; sc++) {                             \
+                lanes##L a = load##L(V + b[sc] * L);                           \
+                if (C > 1) {                                                   \
+                    const double *w = cw + (cell * NW + sc) * C;               \
+                    a = a * w[0];                                              \
+                    for (intptr_t j = 1; j < C; j++)                           \
+                        a = a + load##L(V + (b[sc] + offsets[j]) * L) * w[j];  \
+                }                                                              \
+                q = sc ? minimum##L(q, a) : a;                                 \
+            }                                                                  \
+            if (scores) {                                                      \
+                q = minimum##L(q, splat##L(scores[cell]));                     \
+            } else {                                                           \
+                const double *gc = g + cell * m;                               \
+                lanes##L slack = gc[0] - load##L(c);                           \
+                for (intptr_t l = 1; l < m; l++)                               \
+                    slack = minimum##L(slack, gc[l] - load##L(c + l * L));     \
+                q = minimum##L(q, slack);                                      \
+            }                                                                  \
+            const mask##L uu = (mask##L){0} + u;                               \
+            if (u == u0) {                                                     \
+                best = q;                                                      \
+                arg = uu;                                                      \
+            } else {                                                           \
+                const mask##L up = (q > best) | (q != q);                      \
+                best = select##L(up, q, best);                                 \
+                arg = (up & uu) | (arg & ~up);                                 \
+            }                                                                  \
+        }                                                                      \
+        memcpy(out + i * L, &best, sizeof best);                               \
+        flag |= best != best;                                                  \
+        if (choices)                                                           \
+            for (int k = 0; k < L; k++)                                        \
+                choices[i * L + k] = (int32_t)arg[k];                          \
+    }                                                                          \
+    int nan = 0;                                                               \
+    for (int k = 0; k < L; k++)                                                \
+        nan |= flag[k] != 0;                                                   \
+    return nan;                                                                \
+}                                                                              \
+                                                                               \
+ENTRY int stage##L(const struct stage *s)                                      \
+{                                                                              \
+    if (s->n_w == 2 && s->C == 2)                                              \
+        return !s->scores && s->m == 2 ? run##L(s, 2, 2, 2) : run##L(s, 2, 2, 0); \
+    if (s->n_w == 2 && s->C == 1)                                              \
+        return run##L(s, 1, 2, 0);                                             \
+    return run##L(s, s->C, s->n_w, 0);                                         \
 }
 
-INLINE lanes splat4(double x)
+DEFINE_VECTOR(4, INLINE)
+
+/* Eight lanes run as one 512-bit vector, compiled for the four AVX-512
+   subsets by a pragma: under target_clones gcc splits 64-byte vectors into
+   scalar code.  Clang and other machines get no eight-lane path. */
+#if defined(__x86_64__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512vl,avx512dq,avx512bw")
+DEFINE_VECTOR(8, static)
+#pragma GCC pop_options
+#define EIGHT_LANES 1
+#endif
+
+/* The widest batch run as one vector on this host, resolved once at load:
+   8 where the eight-lane path is compiled and the host has its four
+   AVX-512 subsets, else 4. */
+static int lanes = 4;
+
+#ifdef EIGHT_LANES
+__attribute__((constructor)) static void detect_lanes(void)
 {
-    return (lanes){x, x, x, x};
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl")
+        && __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512bw"))
+        lanes = 8;
+}
+#endif
+
+int rt_lanes(void)
+{
+    return lanes;
 }
 
-INLINE lanes select4(lane_mask t, lanes a, lanes b)
-{
-    return (lanes)(((lane_mask)a & t) | ((lane_mask)b & ~t));
-}
-
-INLINE lanes minimum4(lanes a, lanes b)
-{
-    return select4((a < b) | (a != a), a, b);
-}
-
-/* M > 0: slack scores of M components, as rt_stage passes it for the
-   weak front; M = 0: s->m components, or the shared scores if given. */
-INLINE int run4(const struct stage *s, const intptr_t C, const intptr_t NW,
-                const intptr_t M)
-{
-    const double *restrict V = s->V;
-    double *restrict out = s->out;
-    int32_t *restrict choices = s->choices;
-    const intptr_t *restrict base = s->base;
-    const double *restrict cw = s->cw;
-    const intptr_t *restrict offsets = s->offsets;
-    const double *restrict scores = M ? 0 : s->scores;
-    const double *restrict g = s->g;
-    const double *restrict c = s->c;
-    const int32_t *restrict fixed = s->fixed;
-    const intptr_t *restrict rows = s->rows;
-    const intptr_t r0 = s->r0, r1 = s->r1, n_u = s->n_u, m = M ? M : s->m;
-    lane_mask flag = {0, 0, 0, 0};
-    for (intptr_t t = r0; t < r1; t++) {
-        const intptr_t i = rows ? rows[t] : t;
-        intptr_t u0 = 0, u1 = n_u;
-        if (fixed) {
-            u0 = fixed[i];
-            if (u0 < 0 || u0 >= n_u)
-                return 2;
-            u1 = u0 + 1;
-        }
-        lanes best = splat4(0.0);
-        lane_mask arg = {0, 0, 0, 0};
-        for (intptr_t u = u0; u < u1; u++) {
-            const intptr_t cell = i * n_u + u;
-            const intptr_t *b = base + cell * NW;
-            lanes q = splat4(0.0);
-            for (intptr_t sc = 0; sc < NW; sc++) {
-                lanes a = load4(V + b[sc] * 4);
-                if (C > 1) {
-                    const double *w = cw + (cell * NW + sc) * C;
-                    a = a * w[0];
-                    for (intptr_t j = 1; j < C; j++)
-                        a = a + load4(V + (b[sc] + offsets[j]) * 4) * w[j];
-                }
-                q = sc ? minimum4(q, a) : a;
-            }
-            if (scores) {
-                q = minimum4(q, splat4(scores[cell]));
-            } else {
-                const double *gc = g + cell * m;
-                lanes slack = gc[0] - load4(c);
-                for (intptr_t l = 1; l < m; l++)
-                    slack = minimum4(slack, gc[l] - load4(c + l * 4));
-                q = minimum4(q, slack);
-            }
-            if (u == u0) {
-                best = q;
-                arg = (lane_mask){u, u, u, u};
-            } else {
-                const lane_mask up = (q > best) | (q != q);
-                best = select4(up, q, best);
-                arg = (up & (lane_mask){u, u, u, u}) | (arg & ~up);
-            }
-        }
-        memcpy(out + i * 4, &best, sizeof best);
-        flag |= best != best;
-        if (choices)
-            for (int k = 0; k < 4; k++)
-                choices[i * 4 + k] = (int32_t)arg[k];
-    }
-    return (flag[0] | flag[1] | flag[2] | flag[3]) != 0;
-}
-
-/* Four lanes, the weak front's batch, run as one vector, which reads each
-   cell's base and weights once for all four; any other count of lanes runs
-   lane by lane.  The shapes of the fishery (two corners) and of the tabular
-   systems (one corner), both with two scenarios, are compiled with constant
-   loop bounds, and so is the weak front's slack of two components. */
+/* Eight lanes, where the host has the eight-lane path, and four lanes run
+   as one vector, which reads each cell's base and weights once for every
+   lane; any other count of lanes runs lane by lane, its common shapes
+   compiled with constant loop bounds as in stage##L. */
 DISPATCH int rt_stage(const struct stage *s)
 {
+#ifdef EIGHT_LANES
+    if (s->K == 8 && lanes == 8)
+        return stage8(s);
+#endif
+    if (s->K == 4 && WIDE_LANES)
+        return stage4(s);
     const int two = s->n_w == 2 && (s->C == 1 || s->C == 2);
-    if (s->K == 4 && WIDE_LANES) {
-        if (two && s->C == 2)
-            return !s->scores && s->m == 2 ? run4(s, 2, 2, 2) : run4(s, 2, 2, 0);
-        if (two)
-            return run4(s, 1, 2, 0);
-        return run4(s, s->C, s->n_w, 0);
-    }
     int flag = 0;
     for (intptr_t k = 0; k < s->K; k++) {
         const int f = !two ? run(s, s->C, s->n_w, k)

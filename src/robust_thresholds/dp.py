@@ -54,16 +54,22 @@ the stage score, and the maximum over controls with its argmax.
 
 A sweep runs K thresholds at once in one (N+2, n_nodes, K) table: row n
 holds V_n of every threshold, one lane each, NaN on every node outside
-R_n, so NaN alone marks the unpopulated nodes of a table.  Four lanes run
-as one vector, which reads each cell's base and weights, 24 bytes under
-two corners, once for all four; any other K runs lane by lane.  The
-kernel builds the slack scores min_i (g_i - c_i) of each lane itself from
-the constraint table, in the operation order of ``_slack``, so no score
-array is built per threshold.  ``weak_front`` solves its ray mesh four
-thresholds per sweep; every single solve
-(``backward_recursion``, ``sweep_scores``, ``sweep_policy``) is a sweep
-with K = 1.  A lane's float operations do not depend on the other lanes,
-so each lane equals its own K = 1 solve bit for bit.
+R_n, so NaN alone marks the unpopulated nodes of a table.  ``LANES``
+lanes run as one vector, which reads each cell's base and weights, 24
+bytes under two corners, once for every lane: eight lanes in one 512-bit
+vector on hosts with the four AVX-512 subsets the kernel's eight-lane path
+is compiled for, else four lanes in one 256-bit vector.  A batch of 2 to
+``LANES`` - 1 thresholds would run lane by lane, so ``solve_batch``
+repeats its last threshold up to ``LANES`` lanes; a batch of one, or of
+more than ``LANES``, runs lane by lane.  The kernel builds the slack
+scores min_i (g_i - c_i) of each lane itself from the constraint table,
+in the operation order of ``_slack``, so no score array is built per
+threshold.  ``weak_front`` solves its ray mesh ``LANES`` thresholds per
+sweep, from one queue per chunk to which each point's projection is added
+once the point's W is known, so only a chunk's last batch is short.  Every
+single solve (``backward_recursion``, ``sweep_scores``, ``sweep_policy``)
+is a sweep with K = 1.  A lane's float operations do not depend on the
+other lanes, so each lane equals its own K = 1 solve bit for bit.
 
 The kernel's rules for signed zeros and NaN are stated, not inherited
 from numpy's reductions.  A minimum is that of ``np.minimum``, which
@@ -131,6 +137,7 @@ from .model import SystemSpec, as_threshold
 
 __all__ = [
     "NEG_INF",
+    "LANES",
     "ValueTable",
     "CompiledSystem",
     "compile_system",
@@ -435,14 +442,20 @@ class _Stage(ctypes.Structure):
 
 
 def _load_kernel(cache: Path):
-    """``rt_stage`` of the kernel library built in ``cache``."""
-    fn = ctypes.CDLL(str(_build_kernel(cache))).rt_stage
+    """``rt_stage`` of the kernel library built in ``cache``, with the
+    library's ``rt_lanes()`` as its ``lanes``."""
+    lib = ctypes.CDLL(str(_build_kernel(cache)))
+    fn = lib.rt_stage
     fn.argtypes = [ctypes.POINTER(_Stage)]
     fn.restype = ctypes.c_int
+    fn.lanes = lib.rt_lanes()
     return fn
 
 
 _rt_stage = _load_kernel(_CACHE)
+# thresholds the kernel runs as one vector on this host: 8 where it has the
+# AVX-512 subsets of the eight-lane path, else 4
+LANES = _rt_stage.lanes
 
 
 def _stage_kernel(stage: _Stage, n: int) -> None:
@@ -629,12 +642,19 @@ def solve_batch(compiled: CompiledSystem, reach: ReachableSets, thresholds) -> n
     """The tables V_0..V_{N+1} of K thresholds, ``thresholds`` (K, m), on
     the reachable sets ``reach``, solved in one sweep: an (N+2, n_nodes, K)
     array whose lane k is ``backward_recursion`` of threshold k bit for
-    bit, NaN off the reachable sets."""
+    bit, NaN off the reachable sets.  A batch of 2 to ``LANES`` - 1
+    thresholds repeats its last one up to ``LANES`` lanes, which run as one
+    vector where its own K would run lane by lane, and returns a view of
+    its K lanes."""
     cs = np.atleast_2d(np.asarray(thresholds, dtype=float))
-    if not len(cs):
+    K = len(cs)
+    if not K:
         raise ValueError("a batch needs at least one threshold")
-    return _solve(compiled, reach,
-                  np.stack([as_threshold(c, compiled.sys.threshold_dim) for c in cs]))
+    cs = np.stack([as_threshold(c, compiled.sys.threshold_dim) for c in cs])
+    if 1 < K < LANES:
+        return _solve(compiled, reach, np.concatenate(
+            [cs, cs[-1:].repeat(LANES - K, axis=0)]))[..., :K]
+    return _solve(compiled, reach, cs)
 
 
 def _solve(compiled: CompiledSystem, reach: ReachableSets, cs: np.ndarray) -> np.ndarray:

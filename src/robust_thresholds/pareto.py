@@ -39,10 +39,6 @@ __all__ = [
 
 # chain postconditions and masked-step checks hold within this of exact
 DIAG_TOL = 1e-9
-# thresholds per weak-front sweep: each cell's inputs are read once per
-# batch, but the stage window is the hull over the batch's lanes, and on the
-# default fishery front four lanes cost least
-BATCH = 4
 
 
 class InfeasibleThresholdError(ValueError):
@@ -101,13 +97,15 @@ def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
     compared against ``front_tol``; residuals beyond it and out-of-order
     sweep coordinates become diagnostics, not errors.
 
-    The mesh is solved in contiguous chunks, each in batches of ``BATCH``
-    thresholds per ``dp.solve_batch`` sweep: first its points, then the
-    projections of those it projects, both in mesh order, which is sweep
-    order.  With ``jobs`` > 1, ``jobs`` threads share 4 * ``jobs`` chunks;
-    the compiled kernel runs without the interpreter lock.  Every W equals
-    that of its own ``backward_recursion`` bit for bit, so the result does
-    not depend on ``jobs``.
+    The mesh is solved in contiguous chunks, each from one queue in
+    batches of ``dp.LANES`` thresholds per ``dp.solve_batch`` sweep, the
+    lanes the kernel runs as one vector.  The queue holds the chunk's points
+    in mesh order, which is sweep order, and then the projection of each
+    point it projects, appended as soon as that point's W is known, so only
+    the chunk's last batch is short.  With ``jobs`` > 1, ``jobs`` threads
+    share 4 * ``jobs`` chunks; the compiled kernel runs without the
+    interpreter lock.  Every W equals that of its own ``backward_recursion``
+    bit for bit, so the result does not depend on ``jobs``.
     """
     _require_compiled_from(compiled, sys, grid, controls)
     points = mesh.points
@@ -115,21 +113,15 @@ def weak_front(xi, mesh: ThresholdRayMesh, sys: SystemSpec, grid: StateGrid,
         raise ValueError("empty threshold mesh")
     tol = front_tol if front_tol is not None else default_front_tol(grid, compiled.interp)
 
-    def solve(thresholds: np.ndarray) -> np.ndarray:
-        values = np.empty(len(thresholds))
-        for i in range(0, len(thresholds), BATCH):
-            batch = thresholds[i:i + BATCH]
-            # a short batch repeats its last threshold: the kernel runs a
-            # full batch as one vector, a short one lane by lane
-            full = np.concatenate([batch, batch[-1:].repeat(BATCH - len(batch), axis=0)])
-            values[i:i + len(batch)] = dp.batch_values(
-                xi, compiled, dp.solve_batch(compiled, reach, full))[:len(batch)]
-        return values
-
     def solve_chunk(chunk: np.ndarray):
-        values = solve(chunk)
-        valid = values < 0
-        return values, solve(chunk[valid] + values[valid][:, None])
+        queue, values = list(chunk), []
+        while len(values) < len(queue):
+            batch = queue[len(values):len(values) + dp.LANES]
+            for w in dp.batch_values(xi, compiled, dp.solve_batch(compiled, reach, batch)):
+                if len(values) < len(chunk) and w < 0:
+                    queue.append(chunk[len(values)] + w)
+                values.append(w)
+        return np.asarray(values[:len(chunk)]), np.asarray(values[len(chunk):])
 
     if jobs > 1:
         # points of one sweep cost alike, but the sweeps do not (the row

@@ -650,7 +650,7 @@ class TestThresholdSequence:
     ``robust_value`` does."""
 
     @staticmethod
-    def assert_sequence(compiled, runs, xi=None, sizes=(1, 2, 3, 4, 5, 7, 9)):
+    def assert_sequence(compiled, runs, xi=None, sizes=(1, 2, 3, 4, 5, 7, 8, 9)):
         """Solve each (reach, thresholds) run of ``runs`` in consecutive
         batches of every size in ``sizes``; each lane against an
         independent ``backward_recursion``, and its W at ``xi`` if given."""
@@ -693,9 +693,9 @@ class TestThresholdSequence:
             # each axis sweep, then the revalidation points of both, in order
             self.assert_sequence(compiled, [(sets, mesh.points[list(members)])
                                             for _, members in mesh.sweeps], xi=60.0,
-                                 sizes=(4, 9))
+                                 sizes=(4, 8, 9))
             self.assert_sequence(compiled, [(sets, mesh.points + values[:, None])],
-                                 xi=60.0, sizes=(4,))
+                                 xi=60.0, sizes=(4, 8))
 
     def test_sweeps_fewer_rows_than_independent_solves(self, coarse_fishery, monkeypatch):
         # a batch makes one kernel call per swept stage, whatever its K, so
@@ -720,6 +720,25 @@ class TestThresholdSequence:
         thresholds = [[0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [2.0, 0.0], [0.0, 0.0],
                       [-1.0, 1.0], [1.0, 1.0], [-0.0, 0.0], [0.0, 0.0]]
         self.assert_sequence(compiled, [(reach, thresholds)], xi=0.0)
+
+    def test_a_short_batch_runs_as_one_vector(self, coarse_fishery, monkeypatch):
+        # a batch of 2 to LANES - 1 thresholds reaches the kernel as LANES
+        # lanes; a single threshold and a batch wider than LANES do not
+        sys, grid, controls, compiled, reach = coarse_fishery
+        thresholds = rt.threshold_ray_mesh(2.5, 24, [130.0, 60.0]).points
+        lanes = []
+        kernel = dp._stage_kernel
+
+        def counted(stage, n):
+            lanes.append(stage.K)
+            return kernel(stage, n)
+
+        monkeypatch.setattr(dp, "_stage_kernel", counted)
+        for size in (1, 2, dp.LANES - 1, dp.LANES, dp.LANES + 1):
+            T = dp.solve_batch(compiled, reach, thresholds[:size])
+            assert T.shape[2] == size
+            assert set(lanes) == {size if size in (1, dp.LANES + 1) else dp.LANES}
+            lanes[:] = []
 
     def test_a_solve_after_one_that_raised_is_exact(self):
         # every node steps to the next one; stage slacks min(10 - c1, 2 - c2)
@@ -840,7 +859,7 @@ class TestKernelScratch:
 class TestCompiledKernel:
     """``dp._stage_kernel`` equals the numpy reference of
     ``kernel_reference`` byte for byte on random stages: lane counts that
-    fill the four-lane vector and tail counts that run lane by lane,
+    fill the four- and eight-lane vectors and counts that run lane by lane,
     nearest and multilinear corners, signed zeros and control ties, shared
     scores and per-lane slacks, policy rows, slices and index arrays of
     rows.  A touched NaN node raises ``UnpopulatedNodeError``."""
@@ -875,7 +894,7 @@ class TestCompiledKernel:
         return out, choices
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4, 5, 7, 9]),
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16]),
            st.sampled_from(["nearest", "multilinear", "bilinear"]), st.booleans(),
            st.booleans(), st.booleans(), st.booleans())
     def test_equals_the_numpy_reference(self, seed, K, interp, shared, policy, sliced, nan):
@@ -1000,10 +1019,47 @@ class TestKernelBuild:
             assert proc.returncode == 0, proc.stderr
             return proc.stdout
 
-        assert "target_clones" not in preprocessed("-U__x86_64__")
-        assert "__builtin_cpu_supports" not in preprocessed("-U__x86_64__")
+        other = preprocessed("-U__x86_64__")
+        for word in ("target_clones", "__builtin_cpu_supports", "#pragma GCC target",
+                     "avx512"):
+            assert word not in other
         if platform.machine() == "x86_64":
-            assert "target_clones" in preprocessed()
+            native = preprocessed()
+            assert "target_clones" in native
+            if not _clang():
+                # the eight-lane path, and only it, sits in the pragma region
+                region = native[native.index("#pragma GCC push_options"):
+                                native.index("#pragma GCC pop_options")]
+                assert ('#pragma GCC target("avx512f,avx512vl,avx512dq,avx512bw")'
+                        in region)
+                assert "stage8" in region and "stage4" not in region
+
+
+def _clang() -> bool:
+    """The kernel's compiler is Clang, which gets no eight-lane path."""
+    proc = subprocess.run([dp.CC, "-dM", "-E", "-x", "c", "-"], input="",
+                          capture_output=True, text=True, timeout=60)
+    return "__clang__" in proc.stdout
+
+
+class TestLanes:
+    """``dp.LANES``, the thresholds the kernel runs as one vector, is a fact
+    of the host: 8 where the eight-lane path is compiled and the processor
+    has its four AVX-512 subsets, else 4."""
+
+    SUBSETS = {"avx512f", "avx512vl", "avx512dq", "avx512bw"}
+
+    def test_eight_lanes_exactly_where_the_host_has_avx512(self):
+        try:
+            with open("/proc/cpuinfo") as fh:
+                flags = {flag for line in fh if line.startswith("flags")
+                         for flag in line.split(":", 1)[1].split()}
+        except OSError:
+            assert dp.LANES in (4, 8)
+            return
+        eight = (platform.machine() == "x86_64" and self.SUBSETS <= flags
+                 and not _clang())
+        assert dp.LANES == (8 if eight else 4)
 
 
 class TestThresholdTranslation:

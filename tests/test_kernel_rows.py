@@ -16,14 +16,16 @@ def test_counts_one_round_on_the_coarse_fishery():
     proc = run("fishery-strong")
     assert proc.returncode == 0, proc.stderr
     header, row = proc.stdout.splitlines()
-    assert header.split() == ["case", "calls", "rows", "lane-rows", "seconds"]
-    name, calls, rows, lane_rows, seconds = row.split()
-    calls, rows, lane_rows = (int(x.replace(",", "")) for x in (calls, rows, lane_rows))
+    assert header.split() == ["case", "sweeps", "calls", "rows", "lane-rows", "seconds"]
+    name, sweeps, calls, rows, lane_rows, seconds = row.split()
+    sweeps, calls, rows, lane_rows = (int(x.replace(",", ""))
+                                      for x in (sweeps, calls, rows, lane_rows))
     assert name == "fishery-strong"
     # every call sweeps at least one row, and at most every node of the grid;
-    # the strong chains solve one threshold per sweep
+    # the strong chains solve one threshold per sweep, never a batch
     assert 0 < calls <= rows <= 121 * calls
     assert lane_rows == rows
+    assert sweeps == 0
     assert float(seconds) > 0
 
 

@@ -452,6 +452,32 @@ class TestFisherySmoke:
                 self.assert_same_front(fronts[0], other)
         assert len(fronts[0].skipped_sources) == 2
 
+    def test_front_equals_per_point_solves(self, coarse_fishery):
+        # 50 ray points and two sustainable ones: with one chunk the queue's
+        # batches run on from the points into their projections, with
+        # jobs = 2 every chunk is shorter than a batch; every W is that of
+        # its own backward_recursion, byte for byte
+        sys, grid, controls, compiled, reach = coarse_fishery
+        rays = rt.threshold_ray_mesh(2.5, 24, [130.0, 60.0]).points
+        mesh = points_mesh(np.insert(rays, [3, 30], [[0.0, 0.0], [-5.0, -5.0]], axis=0))
+        serial, threaded = (pareto.weak_front(60.0, mesh, sys, grid, controls,
+                                              compiled=compiled, reach=reach, jobs=jobs)
+                            for jobs in (1, 2))
+        self.assert_same_front(serial, threaded)
+
+        def w(c):
+            return rt.robust_value(60.0, rt.backward_recursion(compiled, reach, c))
+
+        values = np.asarray([w(c) for c in mesh.points])
+        valid = values < 0
+        assert valid.sum() == len(rays) == len(serial)
+        for got, want in ((serial.values, values[valid]),
+                          (serial.skipped_values, values[~valid]),
+                          (serial.points, mesh.points[valid] + values[valid][:, None]),
+                          (serial.revalidated, np.asarray([w(p) for p in serial.points]))):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                              want.tobytes())
+
     @pytest.mark.parametrize("perm", [(0, 1), (1, 0)])
     def test_strong_chains_certified_on_coarse_benchmark(self, perm, coarse_fishery):
         # on this coarse multilinear grid the masked steps blend their
